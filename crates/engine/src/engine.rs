@@ -3,6 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -371,9 +372,9 @@ impl Resolved {
     }
 }
 
-/// One scenario's precomputed work order inside a batch: everything the
-/// evaluation loop (or a shard worker) needs so that walking never
-/// touches the cache, the lattice memo, or `&mut self`.
+/// The shared state one same-shape run of scenarios evaluates against:
+/// everything a walk needs so that walking never touches the cache, the
+/// lattice memo, or `&mut self`.
 struct Task {
     /// The resolved query this task evaluates — shared across a run so
     /// fallback backends (and shard workers) never re-resolve.
@@ -408,19 +409,6 @@ impl Task {
             size: self.size,
             cache_hit: self.artifact.is_some(),
             compile_time: Duration::ZERO,
-        }
-    }
-
-    /// This scenario's [`QueryStats`] record, given its measured
-    /// evaluation time.
-    fn query_stats(&self, eval_time: Duration) -> QueryStats {
-        QueryStats {
-            plan: self.plan,
-            cache_hit: self.cache_hit,
-            circuit_size: self.size,
-            compile_time: self.compile_time,
-            eval_time,
-            samples: 0,
         }
     }
 
@@ -460,15 +448,24 @@ impl Task {
             .run(tid, stream)
     }
 
-    /// The non-artifact fallback evaluation (exact): the single dispatch
-    /// every batch path shares, so extensional/brute-force/sampling
-    /// semantics can never drift between the sequential, lane-batched,
-    /// and sharded paths whose bit-for-bit parity the tests pin.
-    /// `stream` is the scenario's global batch index (used only by
-    /// [`Plan::Sample`]); the returned [`SampleRun`] is present iff the
-    /// sampler ran.
-    fn eval_fallback_exact(&self, tid: &Tid, stream: u64) -> (BigRational, Option<SampleRun>) {
+    /// The artifact a cacheable plan walks.
+    fn artifact(&self) -> &Artifact {
+        self.artifact
+            .as_deref()
+            .expect("cacheable tasks carry an artifact")
+    }
+
+    /// One scalar exact evaluation: the single dispatch every path
+    /// shares, so artifact/extensional/brute-force/sampling semantics
+    /// can never drift between the single-query, batch, and sharded
+    /// paths whose bit-for-bit parity the tests pin. `stream` is the
+    /// scenario's global batch index (used only by [`Plan::Sample`]);
+    /// the returned [`SampleRun`] is present iff the sampler ran.
+    fn eval_exact(&self, tid: &Tid, stream: u64) -> (BigRational, Option<SampleRun>) {
         match self.plan {
+            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => {
+                (self.artifact().probability_exact(tid), None)
+            }
             Plan::Extensional => {
                 let q = self.query.as_h().expect("extensional plans are H-only");
                 let lat = self
@@ -500,15 +497,15 @@ impl Task {
                 let p = lifted_probability(ucq, tid).expect("the planner verified the safety test");
                 (p, None)
             }
-            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => {
-                unreachable!("cacheable tasks carry an artifact")
-            }
         }
     }
 
-    /// Floating-point [`eval_fallback_exact`](Self::eval_fallback_exact).
-    fn eval_fallback_f64(&self, tid: &Tid, stream: u64) -> (f64, Option<SampleRun>) {
+    /// Floating-point [`eval_exact`](Self::eval_exact).
+    fn eval_f64(&self, tid: &Tid, stream: u64) -> (f64, Option<SampleRun>) {
         match self.plan {
+            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => {
+                (self.artifact().probability_f64(tid), None)
+            }
             Plan::Extensional => {
                 let q = self.query.as_h().expect("extensional plans are H-only");
                 let lat = self
@@ -537,17 +534,14 @@ impl Task {
                     lifted_probability_f64(ucq, tid).expect("the planner verified the safety test");
                 (p, None)
             }
-            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => {
-                unreachable!("cacheable tasks carry an artifact")
-            }
         }
     }
 }
 
-/// Folds one fallback evaluation's outcome into a stats record: sampler
+/// Folds one scalar evaluation's outcome into a stats record: sampler
 /// runs contribute their sample count (and any lane-kernel calls the
 /// naive world sampler made) exactly once, on whichever path ran them.
-fn record_fallback(
+fn record_scalar(
     stats: &mut EngineStats,
     mut record: QueryStats,
     eval_time: Duration,
@@ -565,7 +559,8 @@ fn record_fallback(
 /// memoized CNF lattice, or a grounded sampler — has already been
 /// fetched, so evaluation is a **pure function of the prepared state**:
 /// no cache probe, no lock, no `&mut PqeEngine`. This is the unit of
-/// work the serve layer hands its worker pool; `PreparedQuery` is
+/// work every evaluation path walks: single queries evaluate one, and
+/// batches hand one per same-shape run to [`walk_runs`]. It is
 /// `Send + Sync`, and many threads may evaluate clones of the same
 /// preparation concurrently.
 ///
@@ -631,46 +626,42 @@ impl PreparedQuery {
         }
     }
 
-    /// Exact `PQE(Q)` on `tid`, recording one [`QueryStats`] into
-    /// `stats`. `stream` is the scenario's global batch position (the
-    /// RNG stream under a [`Plan::Sample`] route — pass `0` for a
-    /// standalone query to match [`PqeEngine::evaluate`] bit for bit).
-    pub fn eval_exact(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> BigRational {
-        if self.memo_hit {
+    /// One scalar evaluation of the scenario at `offset` within the run
+    /// this preparation heads, timed and recorded as one [`QueryStats`]:
+    /// offset 0 carries the preparation's own attribution, later
+    /// offsets are shares.
+    fn eval_at<T>(
+        &self,
+        offset: usize,
+        stats: &mut EngineStats,
+        eval: impl FnOnce(&Task) -> (T, Option<SampleRun>),
+    ) -> T {
+        if self.task.plan == Plan::Extensional && (offset > 0 || self.memo_hit) {
             stats.extensional_memo_hits += 1;
         }
         let started = Instant::now();
-        let (p, sample_run) = match &self.task.artifact {
-            Some(artifact) => (artifact.probability_exact(tid), None),
-            None => self.task.eval_fallback_exact(tid, stream),
-        };
-        record_fallback(
+        let (p, sample_run) = eval(&self.task);
+        record_scalar(
             stats,
-            self.task.query_stats(Duration::ZERO),
+            self.task.query_stats_at(offset),
             started.elapsed(),
             sample_run,
         );
         p
     }
 
+    /// Exact `PQE(Q)` on `tid`, recording one [`QueryStats`] into
+    /// `stats`. `stream` is the scenario's global batch position (the
+    /// RNG stream under a [`Plan::Sample`] route — pass `0` for a
+    /// standalone query to match [`PqeEngine::evaluate`] bit for bit).
+    pub fn eval_exact(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> BigRational {
+        self.eval_at(0, stats, |task| task.eval_exact(tid, stream))
+    }
+
     /// Floating-point [`eval_exact`](Self::eval_exact), bit-identical to
     /// [`PqeEngine::evaluate_f64`] at `stream = 0`.
     pub fn eval_f64(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> f64 {
-        if self.memo_hit {
-            stats.extensional_memo_hits += 1;
-        }
-        let started = Instant::now();
-        let (p, sample_run) = match &self.task.artifact {
-            Some(artifact) => (artifact.probability_f64(tid), None),
-            None => self.task.eval_fallback_f64(tid, stream),
-        };
-        record_fallback(
-            stats,
-            self.task.query_stats(Duration::ZERO),
-            started.elapsed(),
-            sample_run,
-        );
-        p
+        self.eval_at(0, stats, |task| task.eval_f64(tid, stream))
     }
 
     /// `PQE(Q)` as a uniformly-shaped [`Estimate`], bit-identical to
@@ -678,43 +669,63 @@ impl PreparedQuery {
     /// with `eps = delta = 0`, [`Plan::Sample`] routes Monte-Carlo
     /// bounded.
     pub fn eval_estimate(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> Estimate {
-        match self.task.plan {
-            Plan::Sample(_) => {
-                let started = Instant::now();
-                let run = self.task.run_sampler(tid, stream);
-                record_fallback(
-                    stats,
-                    self.task.query_stats(Duration::ZERO),
-                    started.elapsed(),
-                    Some(run),
-                );
-                run.estimate
-            }
-            _ => {
-                let started = Instant::now();
-                let value = self.eval_f64(tid, stream, stats);
-                Estimate {
-                    value,
-                    eps: 0.0,
-                    delta: 0.0,
-                    samples: 0,
-                    elapsed: started.elapsed(),
-                    sampler: None,
-                    deadline_hit: false,
-                }
-            }
+        if let Plan::Sample(_) = self.task.plan {
+            return self.eval_at(0, stats, |task| {
+                let run = task.run_sampler(tid, stream);
+                (run.estimate, Some(run))
+            });
+        }
+        let started = Instant::now();
+        let value = self.eval_f64(tid, stream, stats);
+        Estimate {
+            value,
+            eps: 0.0,
+            delta: 0.0,
+            samples: 0,
+            elapsed: started.elapsed(),
+            sampler: None,
+            deadline_hit: false,
+        }
+    }
+
+    /// Evaluates a contiguous same-shape run of scenarios exactly, one
+    /// scalar walk per scenario, pushing one probability per scenario
+    /// onto `out` and recording one [`QueryStats`] per scenario. `base`
+    /// is the run's global batch offset (scenario `i` samples from RNG
+    /// stream `base + i`). `_scratch` is unused — exact walks have no
+    /// lane kernel — and is there so both run walkers fit
+    /// [`walk_runs`].
+    pub fn eval_run_exact(
+        &self,
+        tids: &[Tid],
+        base: u64,
+        _scratch: &mut LaneScratch,
+        out: &mut Vec<BigRational>,
+        stats: &mut EngineStats,
+    ) {
+        for (offset, tid) in tids.iter().enumerate() {
+            out.push(self.eval_at(offset, stats, |task| {
+                task.eval_exact(tid, base + offset as u64)
+            }));
         }
     }
 
     /// Evaluates a contiguous same-shape run of scenarios in f64,
     /// through the lane-batched kernel when the plan carries an
-    /// artifact — bit-identical to [`PqeEngine::evaluate_batch_f64`] on
-    /// the same run (the kernel's fixed-op-order contract), pushing one
-    /// probability per scenario onto `out` and recording one
-    /// [`QueryStats`] per scenario. `base` is the run's global batch
-    /// offset: scenario `i` of the run samples from RNG stream
-    /// `base + i`, which is what keeps server-side sharding
-    /// bit-identical to a sequential batch at any split.
+    /// artifact — bit-identical to a per-scenario
+    /// [`eval_f64`](Self::eval_f64) loop (the kernel's fixed-op-order
+    /// contract), pushing one probability per scenario onto `out` and
+    /// recording one [`QueryStats`] per scenario. `base` is the run's
+    /// global batch offset: scenario `i` of the run samples from RNG
+    /// stream `base + i`, which is what keeps sharding bit-identical to
+    /// a sequential batch at any split.
+    ///
+    /// The artifact's support is scanned once per run, so every block of
+    /// up to [`LANES`] scenarios converts probabilities only for tuples
+    /// the artifact reads; each block is one kernel call
+    /// ([`EngineStats::lane_kernel_calls`]), and its wall time is
+    /// apportioned evenly across its lanes so per-query and aggregate
+    /// timings keep adding up.
     pub fn eval_run_f64(
         &self,
         tids: &[Tid],
@@ -723,37 +734,152 @@ impl PreparedQuery {
         out: &mut Vec<f64>,
         stats: &mut EngineStats,
     ) {
-        if tids.is_empty() {
+        let Some(artifact) = self.task.artifact.as_deref().filter(|_| !tids.is_empty()) else {
+            for (offset, tid) in tids.iter().enumerate() {
+                out.push(self.eval_at(offset, stats, |task| {
+                    task.eval_f64(tid, base + offset as u64)
+                }));
+            }
             return;
-        }
-        match &self.task.artifact {
-            Some(artifact) => PqeEngine::walk_lane_run_f64(
-                artifact,
-                tids,
-                &mut scratch.probs,
-                &mut scratch.scratch,
-                out,
-                stats,
-                |offset| self.task.query_stats_at(offset),
-            ),
-            None => {
-                for (offset, tid) in tids.iter().enumerate() {
-                    if self.task.plan == Plan::Extensional && (offset > 0 || self.memo_hit) {
-                        stats.extensional_memo_hits += 1;
-                    }
-                    let started = Instant::now();
-                    let (p, sample_run) = self.task.eval_fallback_f64(tid, base + offset as u64);
-                    out.push(p);
-                    record_fallback(
-                        stats,
-                        self.task.query_stats_at(offset),
-                        started.elapsed(),
-                        sample_run,
-                    );
+        };
+        let support = artifact.support_vars();
+        let vars = tids[0].len();
+        for (block_idx, block) in tids.chunks(LANES).enumerate() {
+            scratch.probs.reset(vars);
+            for (lane, tid) in block.iter().enumerate() {
+                for &v in &support {
+                    scratch.probs.set(v, lane, tid.prob_f64(TupleId(v)));
                 }
+            }
+            let started = Instant::now();
+            let lanes = artifact.probability_f64_many(&scratch.probs, &mut scratch.scratch);
+            let per_lane = started.elapsed() / block.len() as u32;
+            stats.lane_kernel_calls += 1;
+            for (lane, &p) in lanes.iter().take(block.len()).enumerate() {
+                out.push(p);
+                let mut record = self.task.query_stats_at(block_idx * LANES + lane);
+                record.eval_time = per_lane;
+                stats.record(record);
             }
         }
     }
+}
+
+/// The most worker threads one batch may spawn, whatever it asks for —
+/// a request's `shards` is caller input (the serve wire carries it), so
+/// without a cap one frame could spawn one OS thread per scenario.
+pub const MAX_SHARDS: usize = 64;
+
+/// How a batch of `scenarios` splits for a request of `shards` shards:
+/// `(workers, chunk)`, contiguous chunks of `chunk` scenarios, so small
+/// workloads use fewer workers than asked. `shards == 0` is treated as
+/// `1`, and no batch uses more than [`MAX_SHARDS`] workers.
+fn shard_count(scenarios: usize, shards: usize) -> (usize, usize) {
+    if scenarios == 0 {
+        return (0, 0);
+    }
+    let chunk = scenarios.div_ceil(shards.clamp(1, MAX_SHARDS.min(scenarios)));
+    (scenarios.div_ceil(chunk), chunk)
+}
+
+/// Every maximal run of consecutive same-shape scenarios
+/// ([`Database::same_shape`]), in order: the unit that shares one plan
+/// and one [`PreparedQuery`] in every batch path. Empty for an empty
+/// batch.
+pub fn same_shape_runs(scenarios: &[Tid]) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for (i, tid) in scenarios.iter().enumerate() {
+        match runs.last_mut() {
+            Some(run) if tid.database().same_shape(scenarios[i - 1].database()) => run.end = i + 1,
+            _ => runs.push(i..i + 1),
+        }
+    }
+    runs
+}
+
+/// The one batch driver: walks `scenarios` given one preparation per
+/// same-shape run — `prepared[r]` heads `runs[r]`
+/// ([`same_shape_runs`]) — and returns one answer per scenario, in
+/// order.
+///
+/// The batch is cut into the contiguous chunks [`MAX_SHARDS`]-capped
+/// `shards` asks for. One chunk walks inline on the caller's thread;
+/// more fan out over `std::thread::scope` workers, each recording into
+/// its own [`EngineStats`], merged back into `stats` in chunk order —
+/// no locks, no shared mutable state. Inside a chunk, each run segment
+/// is one `walk` call ([`PreparedQuery::eval_run_f64`] or
+/// [`PreparedQuery::eval_run_exact`]) with the segment's *global* base
+/// index, so per-scenario RNG streams are batch positions and answers
+/// are bit-identical at every shard count. A segment that starts
+/// mid-run walks a [`PreparedQuery::share`] of its run's preparation,
+/// which records exactly what the unsplit run would have.
+pub fn walk_runs<T: Send>(
+    scenarios: &[Tid],
+    runs: &[Range<usize>],
+    prepared: &[PreparedQuery],
+    shards: usize,
+    stats: &mut EngineStats,
+    walk: impl Fn(&PreparedQuery, &[Tid], u64, &mut LaneScratch, &mut Vec<T>, &mut EngineStats) + Sync,
+) -> Vec<T> {
+    assert_eq!(runs.len(), prepared.len(), "one preparation per run");
+    let n = scenarios.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let (workers, chunk) = shard_count(n, shards);
+    let walk_chunk = |start: usize, stats: &mut EngineStats| {
+        let end = n.min(start + chunk);
+        let mut out = Vec::with_capacity(end - start);
+        let mut scratch = LaneScratch::new();
+        let mut r = runs.partition_point(|run| run.end <= start);
+        let mut pos = start;
+        while pos < end {
+            let seg_end = runs[r].end.min(end);
+            let mid_run;
+            let head = if pos == runs[r].start {
+                &prepared[r]
+            } else {
+                mid_run = prepared[r].share();
+                &mid_run
+            };
+            walk(
+                head,
+                &scenarios[pos..seg_end],
+                pos as u64,
+                &mut scratch,
+                &mut out,
+                stats,
+            );
+            pos = seg_end;
+            r += 1;
+        }
+        out
+    };
+    if workers == 1 {
+        return walk_chunk(0, stats);
+    }
+    let walk_chunk = &walk_chunk;
+    let outputs: Vec<(Vec<T>, EngineStats)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|start| {
+                scope.spawn(move || {
+                    let mut local = EngineStats::default();
+                    (walk_chunk(start, &mut local), local)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    });
+    let mut out = Vec::with_capacity(n);
+    for (chunk_out, chunk_stats) in outputs {
+        out.extend(chunk_out);
+        stats.merge(&chunk_stats);
+    }
+    out
 }
 
 impl Default for PqeEngine {
@@ -1431,62 +1557,14 @@ impl PqeEngine {
     /// a dyadic rational) — use [`estimate`](Self::estimate) when the
     /// error bound itself matters.
     pub fn evaluate(&mut self, q: impl Into<Query>, tid: &Tid) -> Result<BigRational, EngineError> {
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        self.evaluate_resolved(&resolved, tid)
-    }
-
-    /// The single-query exact path shared by [`evaluate`](Self::evaluate)
-    /// and [`estimate`](Self::estimate): one [`begin_run`](Self::begin_run)
-    /// (plan + fetch/compile shared state), one evaluation, one record.
-    fn evaluate_resolved(
-        &mut self,
-        resolved: &Arc<Resolved>,
-        tid: &Tid,
-    ) -> Result<BigRational, EngineError> {
-        let task = self.begin_run(resolved, tid)?;
-        let started = Instant::now();
-        let (p, sample_run) = match &task.artifact {
-            Some(artifact) => (artifact.probability_exact(tid), None),
-            None => task.eval_fallback_exact(tid, 0),
-        };
-        record_fallback(
-            &mut self.stats,
-            task.query_stats(Duration::ZERO),
-            started.elapsed(),
-            sample_run,
-        );
-        Ok(p)
+        Ok(self.prepare(q, tid)?.eval_exact(tid, 0, &mut self.stats))
     }
 
     /// Floating-point `PQE(Q)` through the same planner and cache
     /// (used by the benchmarks; cached-artifact walks stay linear).
     /// [`Plan::Sample`] routes return the Monte-Carlo estimate's value.
     pub fn evaluate_f64(&mut self, q: impl Into<Query>, tid: &Tid) -> Result<f64, EngineError> {
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        self.evaluate_f64_resolved(&resolved, tid)
-    }
-
-    /// Floating-point [`evaluate_resolved`](Self::evaluate_resolved).
-    fn evaluate_f64_resolved(
-        &mut self,
-        resolved: &Arc<Resolved>,
-        tid: &Tid,
-    ) -> Result<f64, EngineError> {
-        let task = self.begin_run(resolved, tid)?;
-        let started = Instant::now();
-        let (p, sample_run) = match &task.artifact {
-            Some(artifact) => (artifact.probability_f64(tid), None),
-            None => task.eval_fallback_f64(tid, 0),
-        };
-        record_fallback(
-            &mut self.stats,
-            task.query_stats(Duration::ZERO),
-            started.elapsed(),
-            sample_run,
-        );
-        Ok(p)
+        Ok(self.prepare(q, tid)?.eval_f64(tid, 0, &mut self.stats))
     }
 
     /// `PQE(Q)` as a uniformly-shaped [`Estimate`]: exact routes come
@@ -1495,67 +1573,15 @@ impl PqeEngine {
     /// Monte-Carlo-bounded with the sampler named. This is the anytime
     /// front door the hard region previously lacked.
     pub fn estimate(&mut self, q: impl Into<Query>, tid: &Tid) -> Result<Estimate, EngineError> {
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        match self.plan_resolved(&resolved, tid)? {
-            Plan::Sample(kind) => {
-                let h = resolved.as_h().expect("sampling is H-only");
-                Ok(self.run_sampler_single(h, tid, kind).estimate)
-            }
-            _ => {
-                let started = Instant::now();
-                let value = self.evaluate_f64_resolved(&resolved, tid)?;
-                Ok(Estimate {
-                    value,
-                    eps: 0.0,
-                    delta: 0.0,
-                    samples: 0,
-                    elapsed: started.elapsed(),
-                    sampler: None,
-                    deadline_hit: false,
-                })
-            }
-        }
+        Ok(self.prepare(q, tid)?.eval_estimate(tid, 0, &mut self.stats))
     }
 
-    /// One standalone sampler invocation (the single-query path; batches
-    /// go through [`Task`]s): grounds the sampler artifact, runs stream
-    /// 0, and records stats — sampler wall time lands in `eval_time` /
-    /// [`EngineStats::sample_nanos`], grounding time in `compile_time`.
-    fn run_sampler_single(&mut self, q: &HQuery, tid: &Tid, kind: SamplerKind) -> SampleRun {
-        let sampling = self
-            .config
-            .sampling
-            .expect("a Sample plan implies sampling is configured");
-        let build_started = Instant::now();
-        let artifact = SamplerArtifact::build(kind, q, tid, sampling);
-        let compile_time = build_started.elapsed();
-        let started = Instant::now();
-        let run = artifact.run(tid, 0);
-        record_fallback(
-            &mut self.stats,
-            QueryStats {
-                plan: Plan::Sample(kind),
-                cache_hit: false,
-                circuit_size: None,
-                compile_time,
-                eval_time: Duration::ZERO,
-                samples: 0,
-            },
-            started.elapsed(),
-            Some(run),
-        );
-        run
-    }
-
-    /// Begins a contiguous same-shape run of a batch: plans the first
-    /// scenario and fetches (or compiles) whatever shared state the run
-    /// needs — the cached artifact for cacheable plans, the memoized CNF
-    /// lattice for extensional ones. Every later scenario of the run
-    /// reuses the returned [`Task`] via [`Task::shared`], skipping the
-    /// `O(|D|)` cache-key hash entirely.
-    fn begin_run(&mut self, query: &Arc<Resolved>, tid: &Tid) -> Result<Task, EngineError> {
-        let plan = self.plan_resolved(query, tid)?;
+    /// A task for `plan` with no cached state fetched yet. A
+    /// [`Plan::Sample`] task comes with its grounded sampler built — a
+    /// pure function of the database shape, so the write and read
+    /// prepare paths build it identically — and the build time lands
+    /// in `compile_time`.
+    fn new_task(&self, query: &Arc<Resolved>, plan: Plan, tid: &Tid) -> Task {
         let mut task = Task {
             query: Arc::clone(query),
             plan,
@@ -1566,6 +1592,28 @@ impl PqeEngine {
             cache_hit: false,
             compile_time: Duration::ZERO,
         };
+        if let Plan::Sample(kind) = plan {
+            let q = query.as_h().expect("sampling is H-only");
+            let sampling = self
+                .config
+                .sampling
+                .expect("a Sample plan implies sampling is configured");
+            let started = Instant::now();
+            task.sampler = Some(Arc::new(SamplerArtifact::build(kind, q, tid, sampling)));
+            task.compile_time = started.elapsed();
+        }
+        task
+    }
+
+    /// Begins a contiguous same-shape run on its first scenario, already
+    /// planned: fetches (or compiles) whatever shared state the run
+    /// needs — the cached artifact for cacheable plans, the memoized CNF
+    /// lattice for extensional ones, the sampler for sampled ones.
+    /// Every later scenario of the run reuses the result via
+    /// [`PreparedQuery::share`], skipping the `O(|D|)` cache-key hash
+    /// entirely.
+    fn begin_run(&mut self, query: &Arc<Resolved>, tid: &Tid, plan: Plan) -> PreparedQuery {
+        let mut task = self.new_task(query, plan, tid);
         if plan.is_cacheable() {
             let key = Self::resolved_cache_key(query, tid.database());
             let artifact = match self.cache.get(&key) {
@@ -1587,17 +1635,11 @@ impl PqeEngine {
         } else if plan == Plan::Extensional {
             let phi = query.as_h().expect("extensional plans are H-only").phi();
             task.lattice = Some(self.extensional_lattice(phi));
-        } else if let Plan::Sample(kind) = plan {
-            let q = query.as_h().expect("sampling is H-only");
-            let sampling = self
-                .config
-                .sampling
-                .expect("a Sample plan implies sampling is configured");
-            let started = Instant::now();
-            task.sampler = Some(Arc::new(SamplerArtifact::build(kind, q, tid, sampling)));
-            task.compile_time = started.elapsed();
         }
-        Ok(task)
+        PreparedQuery {
+            task,
+            memo_hit: false,
+        }
     }
 
     /// Prepares `(q, tid)` for pure `&self` evaluation, compiling (and
@@ -1606,8 +1648,8 @@ impl PqeEngine {
     /// contract (`DESIGN.md` §10): hold the engine exclusively for this
     /// call, then evaluate the returned [`PreparedQuery`] outside any
     /// lock. Cache-hit/miss attribution lands in the preparation and is
-    /// recorded at evaluation time, exactly as the engine's own
-    /// `evaluate` records it.
+    /// recorded at evaluation time; [`evaluate`](Self::evaluate) is
+    /// exactly this plus one evaluation.
     pub fn prepare(
         &mut self,
         q: impl Into<Query>,
@@ -1615,10 +1657,8 @@ impl PqeEngine {
     ) -> Result<PreparedQuery, EngineError> {
         let q = q.into();
         let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
-        Ok(PreparedQuery {
-            task: self.begin_run(&resolved, tid)?,
-            memo_hit: false,
-        })
+        let plan = self.plan_resolved(&resolved, tid)?;
+        Ok(self.begin_run(&resolved, tid, plan))
     }
 
     /// The read path of the serve layer's locking contract: plans
@@ -1633,7 +1673,7 @@ impl PqeEngine {
     ///   ([`Plan::BruteForce`], [`Plan::Lifted`] — lifted inference is
     ///   a pure function of the query structure — and [`Plan::Sample`],
     ///   whose sampler grounding is a deterministic pure function,
-    ///   rebuilt here exactly as the single-query path rebuilds it).
+    ///   rebuilt here exactly as [`prepare`](Self::prepare) builds it).
     /// * `Ok(None)` — the key is cold; escalate to
     ///   [`prepare`](Self::prepare) under exclusive access. A
     ///   double-checked re-probe is free: `prepare` re-probes the cache
@@ -1648,47 +1688,56 @@ impl PqeEngine {
         let q = q.into();
         let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
         let plan = self.plan_resolved(&resolved, tid)?;
-        let mut task = Task {
-            query: Arc::clone(&resolved),
-            plan,
-            artifact: None,
-            lattice: None,
-            sampler: None,
-            size: None,
-            cache_hit: false,
-            compile_time: Duration::ZERO,
-        };
+        let mut task = self.new_task(&resolved, plan, tid);
         let mut memo_hit = false;
         if plan.is_cacheable() {
             let key = Self::resolved_cache_key(&resolved, tid.database());
-            match self.cache.peek(&key) {
-                Some(artifact) => {
-                    task.cache_hit = true;
-                    task.size = Some(artifact.size());
-                    task.artifact = Some(Arc::clone(artifact));
-                }
-                None => return Ok(None),
-            }
+            let Some(artifact) = self.cache.peek(&key) else {
+                return Ok(None);
+            };
+            task.cache_hit = true;
+            task.size = Some(artifact.size());
+            task.artifact = Some(Arc::clone(artifact));
         } else if plan == Plan::Extensional {
             let phi = resolved.as_h().expect("extensional plans are H-only").phi();
-            match self.lattices.get(phi) {
-                Some(lat) => {
-                    task.lattice = Some(Arc::clone(lat));
-                    memo_hit = true;
-                }
-                None => return Ok(None),
-            }
-        } else if let Plan::Sample(kind) = plan {
-            let h = resolved.as_h().expect("sampling is H-only");
-            let sampling = self
-                .config
-                .sampling
-                .expect("a Sample plan implies sampling is configured");
-            let started = Instant::now();
-            task.sampler = Some(Arc::new(SamplerArtifact::build(kind, h, tid, sampling)));
-            task.compile_time = started.elapsed();
+            let Some(lat) = self.lattices.get(phi) else {
+                return Ok(None);
+            };
+            task.lattice = Some(Arc::clone(lat));
+            memo_hit = true;
         }
         Ok(Some(PreparedQuery { task, memo_hit }))
+    }
+
+    /// The shared front half of every batch: splits `scenarios` into
+    /// same-shape runs ([`same_shape_runs`]), plans every run head, then
+    /// prepares each one ([`begin_run`](Self::begin_run)). Planning is
+    /// pure and happens strictly first, so an unsound scenario anywhere
+    /// in the batch fails before *any* state — cache contents, eviction
+    /// counters, memo entries, stats — has been touched: every batch is
+    /// all-or-nothing, observably. Preparation then visits the run
+    /// heads in batch order, so hit/miss/eviction counters come out as
+    /// a scenario-by-scenario loop would report them.
+    fn prepare_runs(
+        &mut self,
+        q: Query,
+        scenarios: &[Tid],
+    ) -> Result<(Vec<Range<usize>>, Vec<PreparedQuery>), EngineError> {
+        let runs = same_shape_runs(scenarios);
+        let Some(first) = scenarios.first() else {
+            return Ok((runs, Vec::new()));
+        };
+        let resolved = Arc::new(Self::resolve(&q, first.database().k())?);
+        let plans = runs
+            .iter()
+            .map(|run| self.plan_resolved(&resolved, &scenarios[run.start]))
+            .collect::<Result<Vec<_>, _>>()?;
+        let prepared = runs
+            .iter()
+            .zip(plans)
+            .map(|(run, plan)| self.begin_run(&resolved, &scenarios[run.start], plan))
+            .collect();
+        Ok((runs, prepared))
     }
 
     /// Evaluates `q` on every TID of a workload, amortizing compilation:
@@ -1698,49 +1747,26 @@ impl PqeEngine {
     /// same-shape scenarios (detected via [`Database::same_shape`]) skip
     /// even the cache-key construction.
     ///
-    /// Fails on the first TID with no sound plan, so a batch is
-    /// all-or-nothing. [`evaluate_batch_sharded`](Self::evaluate_batch_sharded)
-    /// is the parallel variant with identical results, and
-    /// [`evaluate_batch_f64`](Self::evaluate_batch_f64) the lane-batched
-    /// floating-point one.
+    /// Every run head is planned before anything compiles, so a batch
+    /// is all-or-nothing: on error no state has changed.
+    /// [`evaluate_batch_sharded`](Self::evaluate_batch_sharded) is the
+    /// parallel variant with identical results, and
+    /// [`evaluate_batch_f64`](Self::evaluate_batch_f64) the
+    /// lane-batched floating-point one.
     pub fn evaluate_batch(
         &mut self,
         q: impl Into<Query>,
         tids: &[Tid],
     ) -> Result<Vec<BigRational>, EngineError> {
-        let Some(first) = tids.first() else {
-            return Ok(Vec::new());
-        };
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, first.database().k())?);
-        let mut out = Vec::with_capacity(tids.len());
-        let mut run: Option<Task> = None;
-        for (i, tid) in tids.iter().enumerate() {
-            let fresh = i == 0 || !tid.database().same_shape(tids[i - 1].database());
-            let task = match run.take() {
-                Some(prev) if !fresh => {
-                    if prev.plan == Plan::Extensional {
-                        self.stats.extensional_memo_hits += 1;
-                    }
-                    prev.shared()
-                }
-                _ => self.begin_run(&resolved, tid)?,
-            };
-            let started = Instant::now();
-            let (p, sample_run) = match &task.artifact {
-                Some(artifact) => (artifact.probability_exact(tid), None),
-                None => task.eval_fallback_exact(tid, i as u64),
-            };
-            record_fallback(
-                &mut self.stats,
-                task.query_stats(Duration::ZERO),
-                started.elapsed(),
-                sample_run,
-            );
-            out.push(p);
-            run = Some(task);
-        }
-        Ok(out)
+        let (runs, prepared) = self.prepare_runs(q.into(), tids)?;
+        Ok(walk_runs(
+            tids,
+            &runs,
+            &prepared,
+            1,
+            &mut self.stats,
+            PreparedQuery::eval_run_exact,
+        ))
     }
 
     /// Floating-point [`evaluate_batch`](Self::evaluate_batch) through
@@ -1758,52 +1784,15 @@ impl PqeEngine {
         q: impl Into<Query>,
         tids: &[Tid],
     ) -> Result<Vec<f64>, EngineError> {
-        let Some(head) = tids.first() else {
-            return Ok(Vec::new());
-        };
-        let q = q.into();
-        let resolved = Arc::new(Self::resolve(&q, head.database().k())?);
-        let mut out = Vec::with_capacity(tids.len());
-        let mut probs = ProbMatrix::new();
-        let mut scratch = EvalScratch::new();
-        let mut start = 0;
-        while start < tids.len() {
-            // The run of consecutive same-shape scenarios beginning here.
-            let mut end = start + 1;
-            while end < tids.len() && tids[end].database().same_shape(tids[end - 1].database()) {
-                end += 1;
-            }
-            let first = self.begin_run(&resolved, &tids[start])?;
-            match &first.artifact {
-                Some(artifact) => Self::walk_lane_run_f64(
-                    artifact,
-                    &tids[start..end],
-                    &mut probs,
-                    &mut scratch,
-                    &mut out,
-                    &mut self.stats,
-                    |offset| first.query_stats_at(offset),
-                ),
-                None => {
-                    for (offset, tid) in tids[start..end].iter().enumerate() {
-                        if offset > 0 && first.plan == Plan::Extensional {
-                            self.stats.extensional_memo_hits += 1;
-                        }
-                        let started = Instant::now();
-                        let (p, sample_run) = first.eval_fallback_f64(tid, (start + offset) as u64);
-                        out.push(p);
-                        record_fallback(
-                            &mut self.stats,
-                            first.query_stats_at(offset),
-                            started.elapsed(),
-                            sample_run,
-                        );
-                    }
-                }
-            }
-            start = end;
-        }
-        Ok(out)
+        let (runs, prepared) = self.prepare_runs(q.into(), tids)?;
+        Ok(walk_runs(
+            tids,
+            &runs,
+            &prepared,
+            1,
+            &mut self.stats,
+            PreparedQuery::eval_run_f64,
+        ))
     }
 
     /// Dry-runs the sharded batch: how many workers would run, how many
@@ -1821,58 +1810,22 @@ impl PqeEngine {
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<BatchPlan, EngineError> {
-        let mut compiles = 0;
-        let mut shared = 0;
-        let mut sampled = 0;
-        let resolved = match scenarios.first() {
-            Some(first) => Some(Self::resolve(&q.into(), first.database().k())?),
-            None => None,
+        let mut batch = BatchPlan::new(scenarios.len(), shard_count(scenarios.len(), shards).0);
+        let Some(first) = scenarios.first() else {
+            return Ok(batch);
         };
+        let resolved = Self::resolve(&q.into(), first.database().k())?;
         let mut simulated: HashSet<CacheKey> = HashSet::new();
-        let mut prev_plan = None;
-        for (i, tid) in scenarios.iter().enumerate() {
-            let resolved = resolved
-                .as_ref()
-                .expect("a scenario exists, so resolution ran");
-            // The plan depends on the TID only through its shape
-            // (vocabulary k and tuple count), so a same-shape run shares
-            // one decision.
-            let plan = match prev_plan {
-                Some(p) if i > 0 && tid.database().same_shape(scenarios[i - 1].database()) => p,
-                _ => self.plan_resolved(resolved, tid)?,
+        for run in same_shape_runs(scenarios) {
+            let tid = &scenarios[run.start];
+            let plan = self.plan_resolved(&resolved, tid)?;
+            let compiles = plan.is_cacheable() && {
+                let key = Self::resolved_cache_key(&resolved, tid.database());
+                !self.cache.contains(&key) && simulated.insert(key)
             };
-            prev_plan = Some(plan);
-            if plan.is_cacheable() {
-                let key = Self::resolved_cache_key(resolved, tid.database());
-                if simulated.contains(&key) || self.cache.contains(&key) {
-                    shared += 1;
-                } else {
-                    compiles += 1;
-                    simulated.insert(key);
-                }
-            } else if matches!(plan, Plan::Sample(_)) {
-                sampled += 1;
-            }
+            batch.add_run(run.len(), plan, compiles);
         }
-        Ok(BatchPlan {
-            scenarios: scenarios.len(),
-            shards: Self::shard_count(scenarios.len(), shards),
-            compiles,
-            shared,
-            sampled,
-        })
-    }
-
-    /// The number of workers a request for `shards` shards over
-    /// `scenarios` scenarios actually spawns: contiguous chunks of
-    /// `ceil(scenarios / shards)`, so small workloads use fewer workers
-    /// than asked and `shards == 0` is treated as `1`.
-    fn shard_count(scenarios: usize, shards: usize) -> usize {
-        if scenarios == 0 {
-            return 0;
-        }
-        let shards = shards.clamp(1, scenarios);
-        scenarios.div_ceil(scenarios.div_ceil(shards))
+        Ok(batch)
     }
 
     /// [`evaluate_batch`](Self::evaluate_batch), fanned across `shards`
@@ -1880,369 +1833,70 @@ impl PqeEngine {
     ///
     /// Three phases (sequence diagram in `DESIGN.md`):
     ///
-    /// 1. **Plan + compile (sequential).** Every scenario is planned, and
-    ///    each *distinct* database shape compiles (or fetches) its
-    ///    artifact exactly once; the artifacts are `Arc`-shared, so this
-    ///    is the only phase that touches the cache or `&mut self`.
-    ///    Consecutive same-shape scenarios (the dominant workload) skip
-    ///    even the key construction via [`Tid::database`] shape equality.
-    /// 2. **Walk (parallel).** Scenario chunks fan out over
-    ///    `std::thread::scope` workers; each walk is a pure `&self` pass
-    ///    over the shared circuit, and each worker records into its own
+    /// 1. **Plan + prepare (sequential).** Every run head is planned,
+    ///    and each run of consecutive same-shape scenarios compiles (or
+    ///    fetches) its artifact exactly once; the artifacts are
+    ///    `Arc`-shared, so this is the only phase that touches the
+    ///    cache or `&mut self`.
+    /// 2. **Walk.** [`walk_runs`] cuts the batch into at most
+    ///    [`MAX_SHARDS`] contiguous chunks over `std::thread::scope`
+    ///    workers; each walk is a pure `&self` pass over the shared
+    ///    circuit, and each worker records into its own
     ///    [`EngineStats`] — no locks, no shared mutable state.
-    /// 3. **Merge.** Per-shard stats fold into the engine's aggregate via
-    ///    [`EngineStats::merge`], in shard order, so the merged counters
-    ///    equal a sequential run's; the [`BatchPlan`] (shard count,
-    ///    compile/share split) lands in `EngineStats::last_batch`.
+    /// 3. **Merge.** Per-shard stats fold into the engine's aggregate
+    ///    via [`EngineStats::merge`], in shard order, so the merged
+    ///    counters equal a sequential run's; the [`BatchPlan`] (shard
+    ///    count, compile/share split) lands in `EngineStats::last_batch`.
     ///
-    /// Fails up front if any scenario lacks a sound plan — planning all
-    /// scenarios is the very first step, so on error *nothing* has
-    /// happened yet: no compile, no cache mutation, no eviction, no
-    /// stats. (The sequential variant, by contrast, records the
-    /// scenarios it finished before hitting the unsound one.)
+    /// Fails up front if any scenario lacks a sound plan — on error
+    /// *nothing* has happened yet: no compile, no cache mutation, no
+    /// eviction, no stats.
     pub fn evaluate_batch_sharded(
         &mut self,
         q: impl Into<Query>,
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<Vec<BigRational>, EngineError> {
-        let q = q.into();
-        let Some((tasks, compiles, shared, sampled)) = self.compile_batch_tasks(&q, scenarios)?
-        else {
-            return Ok(Vec::new());
-        };
-        let shards = Self::shard_count(scenarios.len(), shards);
-        let outputs = Self::fan_out(scenarios, &tasks, shards, |base, tids, tasks| {
-            let mut stats = EngineStats::default();
-            let probs = tids
-                .iter()
-                .zip(tasks)
-                .enumerate()
-                .map(|(offset, (tid, task))| {
-                    let started = Instant::now();
-                    let (p, sample_run) = match &task.artifact {
-                        Some(artifact) => (artifact.probability_exact(tid), None),
-                        None => task.eval_fallback_exact(tid, (base + offset) as u64),
-                    };
-                    record_fallback(
-                        &mut stats,
-                        task.query_stats(Duration::ZERO),
-                        started.elapsed(),
-                        sample_run,
-                    );
-                    p
-                })
-                .collect();
-            (probs, stats)
-        });
-        Ok(self.merge_shard_outputs(scenarios.len(), shards, compiles, shared, sampled, outputs))
+        self.sharded(q.into(), scenarios, shards, PreparedQuery::eval_run_exact)
     }
 
     /// Floating-point [`evaluate_batch_sharded`](Self::evaluate_batch_sharded),
     /// with each shard worker driving the **lane-batched evaluation
-    /// kernel**: inside its contiguous chunk, consecutive scenarios
-    /// sharing an artifact are walked [`LANES`] at a time through a
-    /// worker-private [`EvalScratch`]/[`ProbMatrix`] pair (no shared
-    /// mutable state, zero steady-state allocations per scenario).
-    /// Results stay bit-identical to both the sequential
-    /// [`evaluate_batch_f64`](Self::evaluate_batch_f64) and a per-scenario
-    /// [`evaluate_f64`](Self::evaluate_f64) loop.
+    /// kernel** through [`PreparedQuery::eval_run_f64`] and a
+    /// worker-private [`LaneScratch`] (no shared mutable state, zero
+    /// steady-state allocations per scenario). Results stay
+    /// bit-identical to both the sequential
+    /// [`evaluate_batch_f64`](Self::evaluate_batch_f64) and a
+    /// per-scenario [`evaluate_f64`](Self::evaluate_f64) loop.
     pub fn evaluate_batch_sharded_f64(
         &mut self,
         q: impl Into<Query>,
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<Vec<f64>, EngineError> {
-        let q = q.into();
-        let Some((tasks, compiles, shared, sampled)) = self.compile_batch_tasks(&q, scenarios)?
-        else {
-            return Ok(Vec::new());
-        };
-        let shards = Self::shard_count(scenarios.len(), shards);
-        let outputs = Self::fan_out(scenarios, &tasks, shards, |base, tids, tasks| {
-            Self::walk_chunk_f64(base, tids, tasks)
-        });
-        Ok(self.merge_shard_outputs(scenarios.len(), shards, compiles, shared, sampled, outputs))
+        self.sharded(q.into(), scenarios, shards, PreparedQuery::eval_run_f64)
     }
 
-    /// Phases 1a + 1b of every sharded batch: plan all scenarios, then
-    /// compile (or fetch) each distinct shape's shared state exactly
-    /// once — artifacts for cacheable plans, the memoized CNF lattice
-    /// for extensional ones. Returns `None` for an empty batch (after
-    /// recording the empty [`BatchPlan`]), otherwise the per-scenario
-    /// [`Task`]s plus the compile/share split.
-    ///
-    /// Planning happens strictly first and is pure, so an unsound
-    /// scenario anywhere in the batch fails before *any* state — cache
-    /// contents, eviction counters, memo entries — has been touched:
-    /// all-or-nothing, observably. Compilation mirrors the cache access
-    /// order of a sequential run, so hit/miss/eviction counters come out
-    /// identical.
-    #[allow(clippy::type_complexity)]
-    fn compile_batch_tasks(
+    /// Both sharded batches: [`prepare_runs`](Self::prepare_runs), then
+    /// [`walk_runs`], then the [`BatchPlan`] of what actually ran into
+    /// `EngineStats::last_batch`.
+    fn sharded<T: Send>(
         &mut self,
-        q: &Query,
+        q: Query,
         scenarios: &[Tid],
-    ) -> Result<Option<(Vec<Task>, usize, usize, usize)>, EngineError> {
-        if scenarios.is_empty() {
-            self.stats.last_batch = Some(BatchPlan {
-                scenarios: 0,
-                shards: 0,
-                compiles: 0,
-                shared: 0,
-                sampled: 0,
-            });
-            return Ok(None);
-        }
-        let resolved = Arc::new(Self::resolve(q, scenarios[0].database().k())?);
-
-        // Phase 1a: plan every scenario first. The plan depends on the
-        // TID only through its shape (vocabulary k and tuple count), so
-        // a same-shape run shares one decision.
-        let mut plans: Vec<Plan> = Vec::with_capacity(scenarios.len());
-        for (i, tid) in scenarios.iter().enumerate() {
-            let plan = match plans.last() {
-                Some(&p) if i > 0 && tid.database().same_shape(scenarios[i - 1].database()) => p,
-                _ => self.plan_resolved(&resolved, tid)?,
-            };
-            plans.push(plan);
-        }
-
-        // Phase 1b: fetch/compile per distinct shape.
-        let mut tasks: Vec<Task> = Vec::with_capacity(scenarios.len());
-        let mut compiles = 0;
-        let mut shared = 0;
-        let mut sampled = 0;
-        for (i, (tid, &plan)) in scenarios.iter().zip(&plans).enumerate() {
-            if matches!(plan, Plan::Sample(_)) {
-                sampled += 1;
-            }
-            if i > 0 && tid.database().same_shape(scenarios[i - 1].database()) {
-                let prev = tasks.last().expect("i > 0 ⟹ a previous task exists");
-                if prev.artifact.is_some() {
-                    shared += 1;
-                }
-                if prev.plan == Plan::Extensional {
-                    self.stats.extensional_memo_hits += 1;
-                }
-                let task = prev.shared();
-                tasks.push(task);
-                continue;
-            }
-            if !plan.is_cacheable() {
-                let mut compile_time = Duration::ZERO;
-                let sampler = if let Plan::Sample(kind) = plan {
-                    let h = resolved.as_h().expect("sampling is H-only");
-                    let sampling = self
-                        .config
-                        .sampling
-                        .expect("a Sample plan implies sampling is configured");
-                    let started = Instant::now();
-                    let built = Arc::new(SamplerArtifact::build(kind, h, tid, sampling));
-                    compile_time = started.elapsed();
-                    Some(built)
-                } else {
-                    None
-                };
-                tasks.push(Task {
-                    query: Arc::clone(&resolved),
-                    plan,
-                    artifact: None,
-                    lattice: (plan == Plan::Extensional).then(|| {
-                        let phi = resolved.as_h().expect("extensional plans are H-only").phi();
-                        self.extensional_lattice(phi)
-                    }),
-                    sampler,
-                    size: None,
-                    cache_hit: false,
-                    compile_time,
-                });
-                continue;
-            }
-            let key = Self::resolved_cache_key(&resolved, tid.database());
-            let (artifact, cache_hit, compile_time) = match self.cache.get(&key) {
-                Some(artifact) => {
-                    shared += 1;
-                    (artifact, true, Duration::ZERO)
-                }
-                None => {
-                    let started = Instant::now();
-                    let compiled = Self::compile_artifact(plan, &resolved, tid);
-                    let compile_time = started.elapsed();
-                    let (artifact, evicted) = self.cache.insert(key, compiled);
-                    self.stats.cache_evictions += evicted;
-                    compiles += 1;
-                    (artifact, false, compile_time)
-                }
-            };
-            tasks.push(Task {
-                query: Arc::clone(&resolved),
-                plan,
-                size: Some(artifact.size()),
-                artifact: Some(artifact),
-                lattice: None,
-                sampler: None,
-                cache_hit,
-                compile_time,
-            });
-        }
-        Ok(Some((tasks, compiles, shared, sampled)))
-    }
-
-    /// Phase 2 of a sharded batch: fan contiguous scenario chunks across
-    /// `std::thread::scope` workers. Workers only read — `Arc<Artifact>`
-    /// walks take `&self`, lattices are shared immutably, and the
-    /// non-cacheable backends are pure functions of `(q, tid)` — and
-    /// each records into its own [`EngineStats`]: no locks, no shared
-    /// mutable state. `shard_count` already fixed how many workers run
-    /// (it is what `plan_batch` predicts); deriving the chunk size from
-    /// its result reproduces exactly that many chunks
-    /// (`s ↦ ceil(n / ceil(n / s))` is idempotent).
-    /// Each worker also receives its chunk's *global base index*, so
-    /// per-scenario RNG streams (`(seed, base + offset)`) are positions
-    /// in the whole batch, not in the chunk — the invariant that makes
-    /// sharded sampling bit-identical to sequential at any shard count.
-    fn fan_out<T: Send>(
-        scenarios: &[Tid],
-        tasks: &[Task],
         shards: usize,
-        work: impl Fn(usize, &[Tid], &[Task]) -> (Vec<T>, EngineStats) + Sync,
-    ) -> Vec<(Vec<T>, EngineStats)> {
-        let chunk = scenarios.len().div_ceil(shards);
-        let work = &work;
-        thread::scope(|scope| {
-            let handles: Vec<_> = scenarios
-                .chunks(chunk)
-                .zip(tasks.chunks(chunk))
-                .enumerate()
-                .map(|(ci, (tids, tasks))| scope.spawn(move || work(ci * chunk, tids, tasks)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
-    }
-
-    /// One f64 shard worker's chunk: consecutive tasks sharing an
-    /// artifact (one `Arc`, detected by pointer identity) are walked
-    /// through the lane kernel in blocks of up to [`LANES`]; everything
-    /// else falls back to the scalar backends. Pure function of its
-    /// inputs — statistics come back in the returned [`EngineStats`].
-    fn walk_chunk_f64(base: usize, tids: &[Tid], tasks: &[Task]) -> (Vec<f64>, EngineStats) {
-        let mut stats = EngineStats::default();
-        let mut out = Vec::with_capacity(tids.len());
-        let mut probs = ProbMatrix::new();
-        let mut scratch = EvalScratch::new();
-        let mut start = 0;
-        while start < tids.len() {
-            let Some(artifact) = &tasks[start].artifact else {
-                // Scalar fallback: extensional / brute-force / sampled
-                // scenarios (the sampler draws from the stream of the
-                // scenario's global batch position).
-                let (task, tid) = (&tasks[start], &tids[start]);
-                let started = Instant::now();
-                let (p, sample_run) = task.eval_fallback_f64(tid, (base + start) as u64);
-                out.push(p);
-                record_fallback(
-                    &mut stats,
-                    task.query_stats(Duration::ZERO),
-                    started.elapsed(),
-                    sample_run,
-                );
-                start += 1;
-                continue;
-            };
-            // The run of consecutive scenarios sharing this artifact.
-            let mut end = start + 1;
-            while end < tids.len()
-                && tasks[end]
-                    .artifact
-                    .as_ref()
-                    .is_some_and(|a| Arc::ptr_eq(a, artifact))
-            {
-                end += 1;
-            }
-            Self::walk_lane_run_f64(
-                artifact,
-                &tids[start..end],
-                &mut probs,
-                &mut scratch,
-                &mut out,
-                &mut stats,
-                |offset| tasks[start + offset].query_stats(Duration::ZERO),
-            );
-            start = end;
+        walk: impl Fn(&PreparedQuery, &[Tid], u64, &mut LaneScratch, &mut Vec<T>, &mut EngineStats)
+            + Sync,
+    ) -> Result<Vec<T>, EngineError> {
+        let (runs, prepared) = self.prepare_runs(q, scenarios)?;
+        let out = walk_runs(scenarios, &runs, &prepared, shards, &mut self.stats, walk);
+        let mut batch = BatchPlan::new(scenarios.len(), shard_count(scenarios.len(), shards).0);
+        for (run, head) in runs.iter().zip(&prepared) {
+            let compiled = head.task.artifact.is_some() && !head.task.cache_hit;
+            batch.add_run(run.len(), head.task.plan, compiled);
         }
-        (out, stats)
-    }
-
-    /// The lane-kernel inner loop both f64 batch paths share: walks one
-    /// same-artifact run of scenarios in blocks of up to [`LANES`],
-    /// pushing one probability per scenario and recording one
-    /// [`QueryStats`] per scenario (`record_for(offset)` supplies the
-    /// skeleton; the block's wall time is apportioned evenly across its
-    /// lanes so per-query and aggregate timings keep adding up). The
-    /// artifact's support is scanned once per run, so every block
-    /// converts probabilities only for tuples the artifact reads.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_lane_run_f64(
-        artifact: &Artifact,
-        tids: &[Tid],
-        probs: &mut ProbMatrix,
-        scratch: &mut EvalScratch,
-        out: &mut Vec<f64>,
-        stats: &mut EngineStats,
-        record_for: impl Fn(usize) -> QueryStats,
-    ) {
-        let support = artifact.support_vars();
-        let vars = tids[0].len();
-        for (block_idx, block) in tids.chunks(LANES).enumerate() {
-            probs.reset(vars);
-            for (lane, tid) in block.iter().enumerate() {
-                for &v in &support {
-                    probs.set(v, lane, tid.prob_f64(TupleId(v)));
-                }
-            }
-            let started = Instant::now();
-            let lanes = artifact.probability_f64_many(probs, scratch);
-            let elapsed = started.elapsed();
-            stats.lane_kernel_calls += 1;
-            let per_lane = elapsed / block.len() as u32;
-            for (lane, &p) in lanes.iter().take(block.len()).enumerate() {
-                out.push(p);
-                let mut record = record_for(block_idx * LANES + lane);
-                record.eval_time = per_lane;
-                stats.record(record);
-            }
-        }
-    }
-
-    /// Phase 3 of a sharded batch: merge per-shard stats in order and
-    /// stitch the results back into input order (chunks are contiguous).
-    fn merge_shard_outputs<T>(
-        &mut self,
-        scenarios: usize,
-        shards: usize,
-        compiles: usize,
-        shared: usize,
-        sampled: usize,
-        outputs: Vec<(Vec<T>, EngineStats)>,
-    ) -> Vec<T> {
-        debug_assert_eq!(outputs.len(), shards, "chunking spawned as planned");
-        let mut probs = Vec::with_capacity(scenarios);
-        for (chunk_probs, chunk_stats) in outputs {
-            probs.extend(chunk_probs);
-            self.stats.merge(&chunk_stats);
-        }
-        self.stats.last_batch = Some(BatchPlan {
-            scenarios,
-            shards,
-            compiles,
-            shared,
-            sampled,
-        });
-        probs
+        self.stats.last_batch = Some(batch);
+        Ok(out)
     }
 }
 
@@ -2548,21 +2202,38 @@ mod tests {
         let q = HQuery::new(phi9());
         let good = uniform_tid(complete_database(3, 1), half());
         let mismatched = uniform_tid(complete_database(2, 2), half());
-        let mut engine = PqeEngine::with_config(EngineConfig {
-            cache_gate_budget: Some(1), // any compile would also evict
-            ..EngineConfig::default()
-        });
-        let err = engine
-            .evaluate_batch_sharded(&q, &[good, mismatched], 2)
-            .unwrap_err();
-        assert!(matches!(err, EngineError::VocabularyMismatch { .. }));
-        // All-or-nothing, observably: no compiles, no evictions, no
-        // queries, no batch record.
-        assert_eq!(engine.stats().queries, 0);
-        assert_eq!(engine.stats().cache_misses, 0);
-        assert_eq!(engine.stats().cache_evictions, 0);
-        assert_eq!(engine.cache_len(), 0);
-        assert!(engine.stats().last_batch.is_none());
+        let scenarios = [good, mismatched];
+        type Batch = fn(&mut PqeEngine, &HQuery, &[Tid]) -> Result<(), EngineError>;
+        let batches: [(&str, Batch); 4] = [
+            ("sequential", |e, q, s| e.evaluate_batch(q, s).map(drop)),
+            ("sequential f64", |e, q, s| {
+                e.evaluate_batch_f64(q, s).map(drop)
+            }),
+            ("sharded", |e, q, s| {
+                e.evaluate_batch_sharded(q, s, 2).map(drop)
+            }),
+            ("sharded f64", |e, q, s| {
+                e.evaluate_batch_sharded_f64(q, s, 2).map(drop)
+            }),
+        ];
+        for (name, batch) in batches {
+            let mut engine = PqeEngine::with_config(EngineConfig {
+                cache_gate_budget: Some(1), // any compile would also evict
+                ..EngineConfig::default()
+            });
+            let err = batch(&mut engine, &q, &scenarios).unwrap_err();
+            assert!(
+                matches!(err, EngineError::VocabularyMismatch { .. }),
+                "{name}"
+            );
+            // All-or-nothing, observably: no compiles, no evictions, no
+            // queries, no batch record.
+            assert_eq!(engine.stats().queries, 0, "{name}");
+            assert_eq!(engine.stats().cache_misses, 0, "{name}");
+            assert_eq!(engine.stats().cache_evictions, 0, "{name}");
+            assert_eq!(engine.cache_len(), 0, "{name}");
+            assert!(engine.stats().last_batch.is_none(), "{name}");
+        }
     }
 
     #[test]

@@ -27,27 +27,31 @@
 //!    gate-budgeted LRU [`ArtifactCache`] as `Arc<Artifact>`, so memory
 //!    is bounded ([`EngineConfig::cache_gate_budget`]) and circuits are
 //!    shared immutably across threads.
-//! 3. **Scale** — [`PqeEngine::evaluate_batch_sharded`] compiles once
-//!    and fans a scenario workload across `std::thread::scope` workers,
-//!    each doing pure circuit walks; results are bit-identical to the
-//!    sequential [`PqeEngine::evaluate_batch`]. The floating-point batch
-//!    paths ([`PqeEngine::evaluate_batch_f64`],
-//!    [`PqeEngine::evaluate_batch_sharded_f64`]) additionally drive the
-//!    **lane-batched evaluation kernel**: consecutive same-shape
-//!    scenarios are grouped, and each block of up to
-//!    [`intext_circuits::LANES`] scenarios is one forward pass over the
-//!    shared artifact with zero steady-state allocations — still
-//!    bit-identical to the scalar walk. Repeated [`Plan::Extensional`]
-//!    queries reuse a per-`φ` memo of the CNF lattice + Möbius values
-//!    instead of rebuilding them. Hard scenarios in a mixed batch route
-//!    through the Monte-Carlo sampler with RNG streams derived from
-//!    `(seed, global scenario index)`, so sharded sampling is
-//!    bit-identical to sequential.
+//! 3. **Scale** — a single query is [`PqeEngine::prepare`] plus one
+//!    evaluation of the returned [`PreparedQuery`]; every batch is
+//!    one preparation per run of consecutive same-shape scenarios,
+//!    walked by the one batch driver [`walk_runs`]. The driver cuts the
+//!    batch into at most [`MAX_SHARDS`] contiguous chunks and fans them
+//!    across `std::thread::scope` workers, each doing pure circuit
+//!    walks; [`PqeEngine::evaluate_batch_sharded`] is bit-identical to
+//!    the sequential [`PqeEngine::evaluate_batch`], which is the same
+//!    driver at one shard. The floating-point batch paths
+//!    ([`PqeEngine::evaluate_batch_f64`],
+//!    [`PqeEngine::evaluate_batch_sharded_f64`]) walk each run with
+//!    [`PreparedQuery::eval_run_f64`], the **lane-batched evaluation
+//!    kernel**: each block of up to [`intext_circuits::LANES`]
+//!    scenarios is one forward pass over the shared artifact with zero
+//!    steady-state allocations — still bit-identical to the scalar
+//!    walk. Repeated [`Plan::Extensional`] queries reuse a per-`φ` memo
+//!    of the CNF lattice + Möbius values instead of rebuilding them.
+//!    Hard scenarios in a mixed batch route through the Monte-Carlo
+//!    sampler with RNG streams derived from `(seed, global scenario
+//!    index)`, so sharded sampling is bit-identical to sequential.
 //! 4. **Observe** — every call records [`QueryStats`] (plan, cache
 //!    hit/miss, circuit size, wall time) into aggregate
 //!    [`EngineStats`]; per-shard stats fold back into one report via
-//!    [`EngineStats::merge`], and each batch leaves its [`BatchPlan`]
-//!    in `EngineStats::last_batch`. Timing splits into
+//!    [`EngineStats::merge`], and each sharded batch leaves its
+//!    [`BatchPlan`] in `EngineStats::last_batch`. Timing splits into
 //!    `EngineStats::compile_nanos` (building circuits, derived from
 //!    `compile_time`) vs
 //!    `EngineStats::walk_nanos` (walking them), with
@@ -120,8 +124,8 @@ pub mod wal;
 
 pub use cache::{Artifact, ArtifactCache, CacheKey};
 pub use engine::{
-    ConfigError, EngineConfig, EngineConfigBuilder, EngineError, LaneScratch, LoadReport,
-    PqeEngine, PreparedQuery,
+    same_shape_runs, walk_runs, ConfigError, EngineConfig, EngineConfigBuilder, EngineError,
+    LaneScratch, LoadReport, PqeEngine, PreparedQuery, MAX_SHARDS,
 };
 pub use intext_query::Query;
 pub use plan::{BatchPlan, Explanation, Plan};

@@ -79,7 +79,8 @@ pub struct BatchPlan {
     /// Scenarios in the workload.
     pub scenarios: usize,
     /// Worker threads the scenarios were fanned across (clamped to
-    /// `1..=scenarios`).
+    /// `1..=min(scenarios, MAX_SHARDS)`, see
+    /// [`MAX_SHARDS`](crate::MAX_SHARDS)).
     pub shards: usize,
     /// Scenario evaluations that compiled a fresh artifact (cache
     /// misses, including recompiles forced by eviction).
@@ -90,6 +91,31 @@ pub struct BatchPlan {
     /// the compile/sample split a dry run reports for mixed hard/easy
     /// workloads.
     pub sampled: usize,
+}
+
+impl BatchPlan {
+    /// The plan of a batch of `scenarios` over `shards` workers, before
+    /// any run is counted.
+    pub(crate) fn new(scenarios: usize, shards: usize) -> Self {
+        BatchPlan {
+            scenarios,
+            shards,
+            compiles: 0,
+            shared: 0,
+            sampled: 0,
+        }
+    }
+
+    /// Counts one same-shape run of `len` scenarios routed to `plan`;
+    /// `compiles` says whether its head builds a fresh artifact.
+    pub(crate) fn add_run(&mut self, len: usize, plan: Plan, compiles: bool) {
+        if plan.is_cacheable() {
+            self.compiles += usize::from(compiles);
+            self.shared += len - usize::from(compiles);
+        } else if matches!(plan, Plan::Sample(_)) {
+            self.sampled += len;
+        }
+    }
 }
 
 impl fmt::Display for BatchPlan {

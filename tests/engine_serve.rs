@@ -20,8 +20,8 @@
 //!   Monte-Carlo sampling — and diffs both answers and stats against a
 //!   sequential engine;
 //! * batch and sharded-batch requests diff against the engine's own
-//!   batch paths (including lane-kernel call counts: the server
-//!   replicates the engine's chunk math);
+//!   batch paths (including lane-kernel call counts: the server walks
+//!   its batches through the engine's own batch driver);
 //! * a **deterministic saturation** test wedges the single worker on a
 //!   brute-force query, fills the admission queue, and accounts for
 //!   every submission: admitted ones all resolve (answer, deadline
@@ -381,7 +381,7 @@ fn concurrent_clients_match_sequential_engine_for_all_k2_functions() {
 /// Batches: a mixed-shape scenario workload served concurrently (one
 /// client exact, one sharded f64) is bit-identical to the engine's own
 /// batch paths — including the lane-kernel call count, because the
-/// server replicates the engine's shard chunk math.
+/// server walks its batches through the engine's own batch driver.
 #[test]
 fn concurrent_batches_match_the_engines_batch_paths() {
     let config = circuit_config();
@@ -401,55 +401,62 @@ fn concurrent_batches_match_the_engines_batch_paths() {
     }
     let phi = BoolFn::from_table_u64(3, 0x96); // a zero-Euler d-D function
     let q = HQuery::new(phi);
-    const SHARDS: usize = 3;
+    // Shard counts 1 and 9 give one chunk and one scenario per chunk;
+    // at 2, one chunk holds the tail of shape A's run and all of B's;
+    // at 3, chunk edges line up with run edges.
+    for shards in [1, 2, 3, 9] {
+        let mut seq = PqeEngine::with_config(config);
+        let expected_exact = seq.evaluate_batch(&q, &scenarios).unwrap();
+        let expected_f64 = seq
+            .evaluate_batch_sharded_f64(&q, &scenarios, shards)
+            .unwrap();
+        let seq_stats = seq.stats().clone();
 
-    let mut seq = PqeEngine::with_config(config);
-    let expected_exact = seq.evaluate_batch(&q, &scenarios).unwrap();
-    let expected_f64 = seq
-        .evaluate_batch_sharded_f64(&q, &scenarios, SHARDS)
+        let server = Server::start(ServeConfig {
+            engine: config,
+            workers: 2,
+            ..ServeConfig::default()
+        })
         .unwrap();
-    let seq_stats = seq.stats().clone();
-
-    let server = Server::start(ServeConfig {
-        engine: config,
-        workers: 2,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let handle = server.handle();
-    thread::scope(|scope| {
-        let exact_client = {
-            let handle = handle.clone();
-            let (q, scenarios) = (&q, &scenarios);
-            scope.spawn(move || handle.evaluate_batch(q, scenarios).unwrap())
-        };
-        let f64_client = {
-            let handle = handle.clone();
-            let (q, scenarios) = (&q, &scenarios);
-            scope.spawn(move || handle.evaluate_batch_f64(q, scenarios, SHARDS).unwrap())
-        };
-        assert_eq!(exact_client.join().unwrap(), expected_exact);
-        let served_f64 = f64_client.join().unwrap();
-        assert_eq!(served_f64.len(), expected_f64.len());
-        for (i, (a, b)) in served_f64.iter().zip(&expected_f64).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "scenario {i}: sharded f64 bits diverged"
-            );
-        }
-    });
-    // Empty batches resolve too (to empty answers, zero queries).
-    assert_eq!(
-        handle.evaluate_batch(&q, &[]).unwrap(),
-        Vec::<BigRational>::new()
-    );
-    let stats = server.shutdown();
-    assert_counts_equal(&stats, &seq_stats, "batch workload");
-    assert!(
-        stats.lane_kernel_calls > 0,
-        "sharded f64 skipped the lane kernel"
-    );
+        let handle = server.handle();
+        thread::scope(|scope| {
+            let exact_client = {
+                let handle = handle.clone();
+                let (q, scenarios) = (&q, &scenarios);
+                scope.spawn(move || handle.evaluate_batch(q, scenarios).unwrap())
+            };
+            let f64_client = {
+                let handle = handle.clone();
+                let (q, scenarios) = (&q, &scenarios);
+                scope.spawn(move || handle.evaluate_batch_f64(q, scenarios, shards).unwrap())
+            };
+            assert_eq!(exact_client.join().unwrap(), expected_exact);
+            let served_f64 = f64_client.join().unwrap();
+            assert_eq!(served_f64.len(), expected_f64.len());
+            for (i, (a, b)) in served_f64.iter().zip(&expected_f64).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "shards={shards}, scenario {i}: sharded f64 bits diverged"
+                );
+            }
+        });
+        // Empty batches resolve too (to empty answers, zero queries).
+        assert_eq!(
+            handle.evaluate_batch(&q, &[]).unwrap(),
+            Vec::<BigRational>::new()
+        );
+        let stats = server.shutdown();
+        assert_counts_equal(
+            &stats,
+            &seq_stats,
+            &format!("batch workload, shards={shards}"),
+        );
+        assert!(
+            stats.lane_kernel_calls > 0,
+            "sharded f64 skipped the lane kernel"
+        );
+    }
 }
 
 /// Estimates are sample-for-sample reproducible across the server, and

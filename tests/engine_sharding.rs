@@ -13,7 +13,7 @@
 //! the engine's worker threads and the test harness's own parallelism.
 
 use intext::boolfn::{phi9, BoolFn};
-use intext::engine::{EngineConfig, PqeEngine};
+use intext::engine::{EngineConfig, PqeEngine, MAX_SHARDS};
 use intext::numeric::BigRational;
 use intext::query::HQuery;
 use intext::tid::{
@@ -124,6 +124,16 @@ fn shard_count_never_changes_the_answer() {
             batch.shards
         );
     }
+    // A request for unboundedly many shards spawns at most MAX_SHARDS
+    // workers: 256 scenarios chunk into exactly 64 of 4.
+    let scenarios = reweighted_scenarios(&base, 256, &mut rng);
+    let expected = sequential.evaluate_batch(&q, &scenarios).unwrap();
+    let mut engine = PqeEngine::new();
+    let got = engine
+        .evaluate_batch_sharded(&q, &scenarios, usize::MAX)
+        .unwrap();
+    assert_eq!(got, expected, "shards=usize::MAX");
+    assert_eq!(engine.stats().last_batch.unwrap().shards, MAX_SHARDS);
 }
 
 /// Merged per-shard stats equal the sequential totals: same query count,
