@@ -3,9 +3,9 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use intext_numeric::BigRational;
+use intext_numeric::{BigRational, Num};
 
-use crate::eval::{EvalScratch, ProbMatrix, LANES};
+use crate::eval::{EvalScratch, ProbMatrix, WalkScratch, LANES};
 
 /// Index of a gate inside a [`Circuit`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -291,110 +291,75 @@ impl Circuit {
 
     /// Probability of the gate's function under independent variable
     /// probabilities, **assuming the circuit rooted at `root` is a d-D**
-    /// (`∧ → ×`, `∨ → +`, `¬ → 1-x`; Section 2 of the paper). Linear time.
-    pub fn probability_f64(&self, root: GateId, prob: &impl Fn(u32) -> f64) -> f64 {
-        let mut values = vec![0f64; self.gates.len()];
-        for (i, g) in self.gates.iter().enumerate() {
-            values[i] = match g {
-                Gate::Const(b) => f64::from(u8::from(*b)),
-                Gate::Var(v) => prob(*v),
-                Gate::And(xs) => xs.iter().map(|x| values[x.0 as usize]).product(),
-                Gate::Or(xs) => xs.iter().map(|x| values[x.0 as usize]).sum(),
-                Gate::Not(x) => 1.0 - values[x.0 as usize],
-            };
+    /// (`∧ → ×`, `∨ → +`, `¬ → 1-x`; Section 2 of the paper), in any
+    /// number type: `leaf(v)` is variable `v`'s probability. Linear
+    /// time; `scratch` keeps one value per gate and is reused (no heap
+    /// allocation once it has grown to this arena's size).
+    ///
+    /// This is the only d-D walk. Every gate folds its inputs in arena
+    /// input order from the identity — products left-to-right from `1`
+    /// for `∧`, sums left-to-right from `0` for `∨` — so the exact, f64
+    /// and lane-batched instantiations perform the same operations in
+    /// the same order, and lane `l` of [`Self::probability_f64_many`] is
+    /// bit-identical to [`Self::probability_f64`] under lane `l`'s
+    /// probabilities.
+    pub fn probability<N: Num>(
+        &self,
+        root: GateId,
+        leaf: impl Fn(u32) -> N,
+        scratch: &mut WalkScratch<N>,
+    ) -> N {
+        let values = &mut scratch.values;
+        if values.is_empty() {
+            // A fresh buffer takes its zeros from the allocator, which is
+            // cheaper than filling one.
+            *values = vec![N::zero(); self.gates.len()];
+        } else {
+            values.resize(self.gates.len(), N::zero());
         }
-        values[root.0 as usize]
+        for (i, g) in self.gates.iter().enumerate() {
+            let v = match g {
+                Gate::Const(true) => N::one(),
+                Gate::Const(false) => N::zero(),
+                Gate::Var(v) => leaf(*v),
+                Gate::And(xs) => xs
+                    .iter()
+                    .fold(N::one(), |acc, x| acc.mul(&values[x.0 as usize])),
+                Gate::Or(xs) => xs
+                    .iter()
+                    .fold(N::zero(), |acc, x| acc.add(&values[x.0 as usize])),
+                Gate::Not(x) => N::one().sub(&values[x.0 as usize]),
+            };
+            values[i] = v;
+        }
+        values[root.0 as usize].clone()
     }
 
-    /// Lane-batched variant of [`Self::probability_f64`]: one forward
-    /// pass over the gate table computes up to [`LANES`] scenarios at
-    /// once, reading scenario probabilities from `probs` and keeping
-    /// every intermediate in `scratch` (no heap allocation once the
-    /// scratch has grown to this arena's size).
-    ///
-    /// **Bit-identity contract**: every gate folds its inputs in arena
-    /// input order — products left-to-right for `∧`, sums left-to-right
-    /// for `∨` — exactly as the scalar walk does, so lane `l` of the
-    /// result is bit-identical to `probability_f64` called with lane
-    /// `l`'s probabilities. Lanes the caller did not fill are computed
-    /// from whatever the matrix holds and are simply meaningless; read
-    /// back only the lanes you set.
+    /// [`Self::probability`] in `f64`.
+    pub fn probability_f64(&self, root: GateId, prob: &impl Fn(u32) -> f64) -> f64 {
+        self.probability(root, prob, &mut WalkScratch::new())
+    }
+
+    /// [`Self::probability`] over up to [`LANES`] scenarios at once,
+    /// reading scenario probabilities from `probs`. Lanes the caller did
+    /// not fill are computed from whatever the matrix holds and are
+    /// simply meaningless; read back only the lanes you set.
     pub fn probability_f64_many(
         &self,
         root: GateId,
         probs: &ProbMatrix,
         scratch: &mut EvalScratch,
     ) -> [f64; LANES] {
-        scratch.ensure_lanes(self.gates.len());
-        let values = &mut scratch.lanes[..self.gates.len() * LANES];
-        for (i, g) in self.gates.iter().enumerate() {
-            let (done, rest) = values.split_at_mut(i * LANES);
-            let out = &mut rest[..LANES];
-            match g {
-                Gate::Const(b) => out.fill(f64::from(u8::from(*b))),
-                Gate::Var(v) => out.copy_from_slice(probs.block(*v)),
-                Gate::And(xs) => {
-                    out.fill(1.0);
-                    for x in xs {
-                        let input = &done[x.0 as usize * LANES..][..LANES];
-                        for (o, v) in out.iter_mut().zip(input) {
-                            *o *= v;
-                        }
-                    }
-                }
-                Gate::Or(xs) => {
-                    out.fill(0.0);
-                    for x in xs {
-                        let input = &done[x.0 as usize * LANES..][..LANES];
-                        for (o, v) in out.iter_mut().zip(input) {
-                            *o += v;
-                        }
-                    }
-                }
-                Gate::Not(x) => {
-                    let input = &done[x.0 as usize * LANES..][..LANES];
-                    for (o, v) in out.iter_mut().zip(input) {
-                        *o = 1.0 - v;
-                    }
-                }
-            }
-        }
-        values[root.0 as usize * LANES..][..LANES]
-            .try_into()
-            .expect("lane block is exactly LANES wide")
+        self.probability(root, |v| *probs.block(v), scratch)
     }
 
-    /// Exact-rational variant of [`Self::probability_f64`].
+    /// [`Self::probability`] in exact rationals.
     pub fn probability_exact(
         &self,
         root: GateId,
         prob: &impl Fn(u32) -> BigRational,
     ) -> BigRational {
-        let mut values: Vec<BigRational> = Vec::with_capacity(self.gates.len());
-        for g in &self.gates {
-            let v = match g {
-                Gate::Const(true) => BigRational::one(),
-                Gate::Const(false) => BigRational::zero(),
-                Gate::Var(v) => prob(*v),
-                Gate::And(xs) => {
-                    let mut acc = BigRational::one();
-                    for x in xs {
-                        acc = &acc * &values[x.0 as usize];
-                    }
-                    acc
-                }
-                Gate::Or(xs) => {
-                    let mut acc = BigRational::zero();
-                    for x in xs {
-                        acc = &acc + &values[x.0 as usize];
-                    }
-                    acc
-                }
-                Gate::Not(x) => values[x.0 as usize].complement(),
-            };
-            values.push(v);
-        }
-        values[root.0 as usize].clone()
+        self.probability(root, prob, &mut WalkScratch::new())
     }
 
     /// Counts the satisfying assignments of a d-D over the given variable
@@ -652,7 +617,14 @@ mod tests {
         let mut c = Circuit::new();
         let t = c.and(vec![]); // empty ∧ = ⊤
         let f = c.or(vec![]); // empty ∨ = ⊥
-        let probs = ProbMatrix::new();
+        let x0 = c.var(0);
+        let x0_and_f = c.and(vec![x0, f]); // x0 ∧ ⊥ = ⊥
+        let mut probs = ProbMatrix::new();
+        probs.reset(1);
+        let lane_prob = |lane: usize| 0.1 + 0.1 * lane as f64;
+        for lane in 0..LANES {
+            probs.set(0, lane, lane_prob(lane));
+        }
         let mut scratch = EvalScratch::new();
         assert_eq!(
             c.probability_f64_many(t, &probs, &mut scratch),
@@ -662,6 +634,20 @@ mod tests {
             c.probability_f64_many(f, &probs, &mut scratch),
             [0.0; LANES]
         );
+        assert_eq!(
+            c.probability_f64_many(x0_and_f, &probs, &mut scratch),
+            [0.0; LANES]
+        );
+        // Bit for bit, not just `==`: `0.0 == -0.0`, so a signed zero
+        // from a scalar fold started elsewhere would slip past the
+        // asserts above.
+        for root in [t, f, x0_and_f] {
+            let got = c.probability_f64_many(root, &probs, &mut scratch);
+            for (lane, p) in got.iter().enumerate() {
+                let scalar = c.probability_f64(root, &|_| lane_prob(lane));
+                assert_eq!(p.to_bits(), scalar.to_bits(), "{root:?} lane {lane}");
+            }
+        }
     }
 
     #[test]

@@ -4,22 +4,25 @@
 //! Once a d-D or OBDD is compiled, probability evaluation is a *linear*
 //! walk of an immutable artifact — yet a scalar walk per scenario pays a
 //! fresh buffer allocation, a full gate decode, and a closure call per
-//! variable, per scenario. The kernel amortizes all three: one forward
-//! pass over the gate (or node) table computes [`LANES`] scenarios at
-//! once, reading per-variable probabilities from a [`ProbMatrix`] block
-//! and keeping every intermediate in an [`EvalScratch`] that is grown
-//! once and reused forever (zero heap allocations in steady state).
+//! variable, per scenario. The kernel amortizes all three: the same
+//! walk, instantiated at `[f64; LANES]`, computes [`LANES`] scenarios in
+//! one forward pass over the gate (or node) table, reading
+//! per-variable probabilities from a [`ProbMatrix`] block and keeping
+//! every intermediate in an [`EvalScratch`] that is grown once and
+//! reused forever (zero heap allocations in steady state).
 //!
-//! **Bit-identity contract.** Each lane performs *exactly* the f64
-//! operations of the scalar walk, in the same order: `∧`-gates fold a
-//! product left-to-right over their inputs, `∨`-gates a sum, `¬`-gates
-//! compute `1 - x`, and OBDD nodes compute `p·hi + (1 - p)·lo`. IEEE 754
-//! arithmetic is deterministic, so lane `l` of
+//! **Bit-identity contract.** Each artifact kind has one walk —
+//! [`Circuit::probability`](crate::Circuit::probability) and
+//! [`ObddManager::probability`](crate::ObddManager::probability) —
+//! generic over [`Num`](intext_numeric::Num), and the exact, f64 and
+//! lane walks are its instantiations. The `[f64; L]` impl does the
+//! `f64` operation in every lane, so lane `l` of
 //! [`Circuit::probability_f64_many`](crate::Circuit::probability_f64_many)
 //! is bit-identical to
 //! [`Circuit::probability_f64`](crate::Circuit::probability_f64) under
-//! lane `l`'s probabilities — batching is a performance knob, never a
-//! semantics knob. The fixed-width inner loops over `LANES` are what
+//! lane `l`'s probabilities by construction: there is no second copy of
+//! the operation order to drift. Batching is a performance knob, never
+//! a semantics knob. The fixed-width inner loops over `LANES` are what
 //! lets the compiler auto-vectorize the pass without changing that
 //! order.
 //!
@@ -89,9 +92,10 @@ impl ProbMatrix {
         self.data[var as usize * LANES + lane] = p;
     }
 
-    /// The contiguous lane block of one variable.
+    /// The contiguous lane block of one variable — the leaf a
+    /// lane-batched walk reads.
     #[inline]
-    pub(crate) fn block(&self, var: u32) -> &[f64; LANES] {
+    pub fn block(&self, var: u32) -> &[f64; LANES] {
         // Same contract as `set`: reads outside the `reset` range would
         // silently see stale data from an earlier, larger block (the
         // backing buffer never shrinks), so catch the misuse in debug
@@ -103,22 +107,27 @@ impl ProbMatrix {
     }
 }
 
-/// Reusable dense buffers for the lane-batched walks — the reason a
+/// Reusable dense buffers for the probability walks — the reason a
 /// steady-state batch evaluation performs **zero heap allocations per
 /// scenario**.
 ///
-/// All buffers grow to the largest artifact walked through them and are
-/// then reused verbatim: value lanes are overwritten by the forward
-/// pass, the OBDD reachability marks are un-set via the visit list
-/// (never a full clear), and the work stacks keep their capacity across
-/// calls (`Vec::clear` does not release storage). One scratch serves
-/// both artifact kinds; shard workers each own one so walks stay free of
-/// shared mutable state.
-#[derive(Debug, Default)]
-pub struct EvalScratch {
-    /// Gate- (or node-) major value lanes: `LANES` running `f64`s per
-    /// arena slot.
-    pub(crate) lanes: Vec<f64>,
+/// One scratch type serves every number type the walks are
+/// instantiated at: `values` holds one `N` per gate (d-D) or per
+/// reachable node (OBDD), and the remaining buffers are the OBDD walk's
+/// reachability pass. All buffers grow to the largest artifact walked
+/// through them and are then reused verbatim: `values` is resized to
+/// the walk (allocating only past its high-water capacity) and every
+/// slot is overwritten by the forward pass before it is read, the
+/// reachability marks are un-set via the visit list (never a full
+/// clear), and the position map needs no reset at all, because a walk
+/// reads only the entries its own reachability pass just wrote. Shard
+/// workers each own one scratch, so walks stay free of shared mutable
+/// state.
+#[derive(Debug)]
+pub struct WalkScratch<N> {
+    /// One running value per gate, or per reachable OBDD node in
+    /// topological order.
+    pub(crate) values: Vec<N>,
     /// OBDD reachability marks, indexed by node index; always all-false
     /// between walks.
     pub(crate) visited: Vec<bool>,
@@ -126,28 +135,30 @@ pub struct EvalScratch {
     pub(crate) stack: Vec<u32>,
     /// Reachable node indices in ascending (= topological) order.
     pub(crate) topo: Vec<u32>,
+    /// Node index → position in `topo` (and in `values`), valid for the
+    /// nodes the current walk reaches.
+    pub(crate) pos: Vec<u32>,
 }
 
-impl EvalScratch {
+/// The lane kernel's scratch: [`LANES`] running `f64`s per slot.
+pub type EvalScratch = WalkScratch<[f64; LANES]>;
+
+impl<N> Default for WalkScratch<N> {
+    fn default() -> Self {
+        WalkScratch {
+            values: Vec::new(),
+            visited: Vec::new(),
+            stack: Vec::new(),
+            topo: Vec::new(),
+            pos: Vec::new(),
+        }
+    }
+}
+
+impl<N> WalkScratch<N> {
     /// A fresh scratch; buffers are allocated lazily on first use.
     pub fn new() -> Self {
-        EvalScratch::default()
-    }
-
-    /// Grows the value-lane buffer to at least `slots * LANES` (growth
-    /// only — steady-state calls are allocation-free).
-    pub(crate) fn ensure_lanes(&mut self, slots: usize) {
-        let need = slots * LANES;
-        if self.lanes.len() < need {
-            self.lanes.resize(need, 0.0);
-        }
-    }
-
-    /// Grows the reachability marks to cover `nodes` arena slots.
-    pub(crate) fn ensure_visited(&mut self, nodes: usize) {
-        if self.visited.len() < nodes {
-            self.visited.resize(nodes, false);
-        }
+        WalkScratch::default()
     }
 }
 
@@ -200,16 +211,22 @@ mod tests {
 
     #[test]
     fn scratch_buffers_grow_once_and_stay() {
+        let mut m = crate::ObddManager::new(vec![0, 1, 2]);
+        let x0 = m.literal(0, true);
+        let x1 = m.literal(1, true);
+        let x2 = m.literal(2, true);
+        let t = m.and(x0, x1);
+        let f = m.xor(t, x2);
+        let mut probs = ProbMatrix::new();
+        probs.reset(3);
         let mut s = EvalScratch::new();
-        s.ensure_lanes(4);
-        assert_eq!(s.lanes.len(), 4 * LANES);
-        s.lanes[0] = 1.0;
-        // A smaller request reuses the same storage.
-        s.ensure_lanes(2);
-        assert_eq!(s.lanes.len(), 4 * LANES);
-        assert_eq!(s.lanes[0], 1.0);
-        s.ensure_visited(5);
-        assert_eq!(s.visited.len(), 5);
-        assert!(s.stack.is_empty() && s.topo.is_empty());
+        m.probability_f64_many(f, &probs, &mut s);
+        let (values, slots) = (s.values.capacity(), s.visited.len());
+        assert!(values >= s.topo.len() && slots >= s.topo.len());
+        // A smaller walk reuses the same storage and leaves the marks
+        // all-false for the next one.
+        m.probability_f64_many(x0, &probs, &mut s);
+        assert_eq!((s.values.capacity(), s.visited.len()), (values, slots));
+        assert!(s.visited.iter().all(|&v| !v) && s.stack.is_empty());
     }
 }

@@ -18,14 +18,18 @@
 //! the standard `apply`/negate algorithms, exact and floating probability
 //! computation, model counting, and conversion into d-D circuits.
 //!
-//! Probability walks exploit that linearity aggressively: the scalar
-//! walks are iterative dense passes (no recursion, no hash-memo), and
-//! the [`eval`] module provides the **lane-batched kernel** —
+//! Each artifact kind has **one** probability walk,
+//! [`Circuit::probability`] and [`ObddManager::probability`], generic
+//! over the [`Num`](intext_numeric::Num) arithmetic seam; the exact,
+//! f64 and lane-batched entry points are its instantiations at
+//! `BigRational`, `f64` and `[f64; LANES]`. The walks are iterative
+//! dense passes (no recursion, no hash-memo), and the [`eval`] module
+//! provides the **lane-batched kernel**'s data plane —
 //! [`Circuit::probability_f64_many`] / [`ObddManager::probability_f64_many`]
 //! evaluate up to [`LANES`] probability scenarios in one pass over the
-//! same immutable artifact, bit-identical per lane to the scalar walk,
-//! with zero steady-state heap allocations thanks to [`EvalScratch`]
-//! reuse (`DESIGN.md` §6).
+//! same immutable artifact, bit-identical per lane to the scalar walk
+//! by construction, with zero steady-state heap allocations thanks to
+//! [`EvalScratch`] reuse (`DESIGN.md` §6).
 
 mod circuit;
 pub mod eval;
@@ -34,5 +38,5 @@ mod obdd;
 pub mod verify;
 
 pub use circuit::{Circuit, CircuitError, CircuitStats, Gate, GateId};
-pub use eval::{EvalScratch, ProbMatrix, LANES};
+pub use eval::{EvalScratch, ProbMatrix, WalkScratch, LANES};
 pub use obdd::{NodeRef, ObddError, ObddManager};

@@ -9,9 +9,9 @@
 
 use std::collections::HashMap;
 
-use intext_numeric::{BigRational, BigUint};
+use intext_numeric::{BigInt, BigRational, BigUint, Num};
 
-use crate::eval::{EvalScratch, ProbMatrix, LANES};
+use crate::eval::{EvalScratch, ProbMatrix, WalkScratch, LANES};
 use crate::{Circuit, GateId};
 
 /// Reference to an OBDD node or terminal: `0` = false, `1` = true,
@@ -470,8 +470,8 @@ impl ObddManager {
     /// variables only; a lineage OBDD often touches a fraction of a
     /// large database's tuples.
     pub fn support_vars(&self, r: NodeRef) -> Vec<u32> {
-        let topo = self.reachable_topo(r);
-        let mut vars: Vec<u32> = topo
+        let mut vars: Vec<u32> = self
+            .reachable(r)
             .iter()
             .map(|&i| self.order[self.nodes[i as usize].level as usize])
             .collect();
@@ -482,37 +482,46 @@ impl ObddManager {
 
     /// Number of decision nodes reachable from `r`.
     pub fn size(&self, r: NodeRef) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut stack = vec![r];
-        while let Some(x) = stack.pop() {
-            if x.is_terminal() || !seen.insert(x) {
-                continue;
-            }
-            let n = self.nodes[x.index()];
-            stack.push(n.lo);
-            stack.push(n.hi);
-        }
-        seen.len()
+        self.reachable(r).len()
     }
 
-    /// The indices of the nodes reachable from `r`, ascending — which is
-    /// a topological order (children strictly precede parents in the
-    /// arena), so a single forward pass over the list can compute any
-    /// bottom-up quantity. Marks are made and un-made through the
-    /// provided buffers (`visited` must come in all-false and is
-    /// restored to all-false), so a caller reusing the buffers performs
-    /// no bookkeeping allocation once they have grown.
-    fn reachable_topo_into(
-        &self,
-        r: NodeRef,
-        visited: &mut [bool],
-        stack: &mut Vec<u32>,
-        topo: &mut Vec<u32>,
-    ) {
-        if r.is_terminal() {
-            return;
+    /// The indices of the nodes reachable from `r`, ascending.
+    fn reachable(&self, r: NodeRef) -> Vec<u32> {
+        let mut scratch = WalkScratch::<()>::new();
+        self.reachable_topo_into(&[r], &mut scratch);
+        scratch.topo
+    }
+
+    /// Fills `scratch.topo` with the indices of the nodes reachable from
+    /// `roots`, ascending — which is a topological order (children
+    /// strictly precede parents in the arena), so a single forward pass
+    /// over the list can compute any bottom-up quantity — and
+    /// `scratch.pos` with each one's position in that list. Marks are
+    /// made and un-made through the scratch (`visited` comes in
+    /// all-false and is restored to all-false), so a reused scratch
+    /// performs no bookkeeping allocation once it has grown.
+    fn reachable_topo_into<N>(&self, roots: &[NodeRef], scratch: &mut WalkScratch<N>) {
+        let WalkScratch {
+            visited,
+            stack,
+            topo,
+            pos,
+            ..
+        } = scratch;
+        stack.clear();
+        topo.clear();
+        stack.extend(
+            roots
+                .iter()
+                .filter(|r| !r.is_terminal())
+                .map(|r| r.index() as u32),
+        );
+        // Every reachable node has an index at most its root's.
+        let slots = stack.iter().max().map_or(0, |&i| i as usize + 1);
+        if visited.len() < slots {
+            visited.resize(slots, false);
+            pos.resize(slots, 0);
         }
-        stack.push(r.index() as u32);
         while let Some(i) = stack.pop() {
             let i = i as usize;
             if visited[i] {
@@ -530,145 +539,78 @@ impl ObddManager {
         // `sort_unstable` is in-place (no allocation), keeping the
         // steady-state walk allocation-free.
         topo.sort_unstable();
-        for &i in topo.iter() {
+        for (p, &i) in topo.iter().enumerate() {
             visited[i as usize] = false;
+            pos[i as usize] = p as u32;
         }
-    }
-
-    /// [`reachable_topo_into`](Self::reachable_topo_into) with one-shot
-    /// local buffers, for the scalar walks.
-    fn reachable_topo(&self, r: NodeRef) -> Vec<u32> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack = Vec::new();
-        let mut topo = Vec::new();
-        self.reachable_topo_into(r, &mut visited, &mut stack, &mut topo);
-        topo
     }
 
     /// Probability of the function under independent per-variable
-    /// probabilities (linear in the OBDD size; reduction-skipped
-    /// variables marginalize out automatically).
+    /// probabilities, in any number type: `leaf(v)` is variable `v`'s
+    /// probability. Linear in the OBDD size; reduction-skipped variables
+    /// marginalize out automatically.
     ///
-    /// The walk is **iterative** — one dense forward pass over the
-    /// reachable nodes in arena order, no recursion (so arbitrarily deep
-    /// OBDDs cannot overflow the stack) and no hash-memo. Each node
-    /// computes `p·hi + (1 - p)·lo`, the same expression in the same
-    /// order as every other walk, keeping results bit-identical across
-    /// the scalar and lane-batched paths.
-    pub fn probability_f64(&self, r: NodeRef, prob: &impl Fn(u32) -> f64) -> f64 {
+    /// This is the only OBDD walk. It is **iterative** — one dense
+    /// forward pass over the reachable nodes in arena order, no
+    /// recursion (so arbitrarily deep OBDDs cannot overflow the stack)
+    /// and no hash-memo — and stores one value per *reachable* node
+    /// through the scratch's position map, so a root reaching a sliver
+    /// of a shared arena never touches (or places) values for the rest.
+    /// Each node computes `p·hi + (1 - p)·lo` in that order, so the
+    /// exact, f64 and lane-batched instantiations agree operation for
+    /// operation, and lane `l` of [`Self::probability_f64_many`] is
+    /// bit-identical to [`Self::probability_f64`] under lane `l`'s
+    /// probabilities.
+    pub fn probability<N: Num>(
+        &self,
+        r: NodeRef,
+        leaf: impl Fn(u32) -> N,
+        scratch: &mut WalkScratch<N>,
+    ) -> N {
         match r {
-            NodeRef::FALSE => return 0.0,
-            NodeRef::TRUE => return 1.0,
+            NodeRef::FALSE => return N::zero(),
+            NodeRef::TRUE => return N::one(),
             _ => {}
         }
-        let topo = self.reachable_topo(r);
-        let mut values = vec![0f64; r.index() + 1];
-        let fetch = |values: &[f64], child: NodeRef| match child {
-            NodeRef::FALSE => 0.0,
-            NodeRef::TRUE => 1.0,
-            _ => values[child.index()],
-        };
-        for &i in &topo {
+        self.reachable_topo_into(&[r], scratch);
+        let WalkScratch {
+            values, topo, pos, ..
+        } = scratch;
+        let (zero, one) = (N::zero(), N::one());
+        values.resize(topo.len(), N::zero());
+        for (at, &i) in topo.iter().enumerate() {
             let n = self.nodes[i as usize];
-            let pv = prob(self.order[n.level as usize]);
-            let hi = fetch(&values, n.hi);
-            let lo = fetch(&values, n.lo);
-            values[i as usize] = pv * hi + (1.0 - pv) * lo;
-        }
-        values[r.index()]
-    }
-
-    /// Exact-rational variant of [`Self::probability_f64`] — the same
-    /// iterative dense-index walk (recursion-free, no hash-memo), with
-    /// values stored per reachable node only so the rationals of
-    /// unreachable arena nodes are never touched.
-    pub fn probability_exact(&self, r: NodeRef, prob: &impl Fn(u32) -> BigRational) -> BigRational {
-        match r {
-            NodeRef::FALSE => return BigRational::zero(),
-            NodeRef::TRUE => return BigRational::one(),
-            _ => {}
-        }
-        let topo = self.reachable_topo(r);
-        // Dense node-index → topo-position map: the reachable set can be
-        // a sliver of a shared arena, and `BigRational` slots are too
-        // expensive to place (or even zero-initialize) per arena node.
-        let mut pos = vec![u32::MAX; r.index() + 1];
-        for (p, &i) in topo.iter().enumerate() {
-            pos[i as usize] = p as u32;
-        }
-        let zero = BigRational::zero();
-        let one = BigRational::one();
-        let mut values: Vec<BigRational> = Vec::with_capacity(topo.len());
-        for &i in &topo {
-            let n = self.nodes[i as usize];
-            let pv = prob(self.order[n.level as usize]);
+            let p = leaf(self.order[n.level as usize]);
             let fetch = |child: NodeRef| match child {
                 NodeRef::FALSE => &zero,
                 NodeRef::TRUE => &one,
                 _ => &values[pos[child.index()] as usize],
             };
-            let p = &(&pv * fetch(n.hi)) + &(&pv.complement() * fetch(n.lo));
-            values.push(p);
+            let v = p.mul(fetch(n.hi)).add(&one.sub(&p).mul(fetch(n.lo)));
+            values[at] = v;
         }
         values[pos[r.index()] as usize].clone()
     }
 
-    /// Lane-batched variant of [`Self::probability_f64`]: one iterative
-    /// pass over the reachable nodes computes up to [`LANES`] scenarios
-    /// at once, reading per-variable probabilities from `probs` and
-    /// keeping all state in `scratch` (zero heap allocations once the
-    /// scratch has grown to this arena's size).
-    ///
-    /// Same bit-identity contract as
-    /// [`Circuit::probability_f64_many`](crate::Circuit::probability_f64_many):
-    /// every node evaluates `p·hi + (1 - p)·lo` per lane, so lane `l` is
-    /// bit-identical to the scalar walk under lane `l`'s probabilities.
+    /// [`Self::probability`] in `f64`.
+    pub fn probability_f64(&self, r: NodeRef, prob: &impl Fn(u32) -> f64) -> f64 {
+        self.probability(r, prob, &mut WalkScratch::new())
+    }
+
+    /// [`Self::probability`] in exact rationals.
+    pub fn probability_exact(&self, r: NodeRef, prob: &impl Fn(u32) -> BigRational) -> BigRational {
+        self.probability(r, prob, &mut WalkScratch::new())
+    }
+
+    /// [`Self::probability`] over up to [`LANES`] scenarios at once,
+    /// reading per-variable probabilities from `probs`.
     pub fn probability_f64_many(
         &self,
         r: NodeRef,
         probs: &ProbMatrix,
         scratch: &mut EvalScratch,
     ) -> [f64; LANES] {
-        match r {
-            NodeRef::FALSE => return [0.0; LANES],
-            NodeRef::TRUE => return [1.0; LANES],
-            _ => {}
-        }
-        scratch.ensure_visited(self.nodes.len());
-        scratch.ensure_lanes(r.index() + 1);
-        let EvalScratch {
-            lanes,
-            visited,
-            stack,
-            topo,
-        } = scratch;
-        stack.clear();
-        topo.clear();
-        self.reachable_topo_into(r, visited, stack, topo);
-        let values = &mut lanes[..(r.index() + 1) * LANES];
-        for &i in topo.iter() {
-            let n = self.nodes[i as usize];
-            let pv = probs.block(self.order[n.level as usize]);
-            let (done, rest) = values.split_at_mut(i as usize * LANES);
-            let out = &mut rest[..LANES];
-            let fetch = |done: &[f64], child: NodeRef| -> [f64; LANES] {
-                match child {
-                    NodeRef::FALSE => [0.0; LANES],
-                    NodeRef::TRUE => [1.0; LANES],
-                    _ => done[child.index() * LANES..][..LANES]
-                        .try_into()
-                        .expect("lane block is exactly LANES wide"),
-                }
-            };
-            let hi = fetch(done, n.hi);
-            let lo = fetch(done, n.lo);
-            for (l, o) in out.iter_mut().enumerate() {
-                *o = pv[l] * hi[l] + (1.0 - pv[l]) * lo[l];
-            }
-        }
-        values[r.index() * LANES..][..LANES]
-            .try_into()
-            .expect("lane block is exactly LANES wide")
+        self.probability(r, |v| *probs.block(v), scratch)
     }
 
     /// Copies the functions rooted at `refs` into `target`, rewriting
@@ -701,30 +643,8 @@ impl ObddManager {
         level_map: &impl Fn(u32) -> u32,
         refs: &[NodeRef],
     ) -> Vec<NodeRef> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut topo: Vec<usize> = Vec::new();
-        for &r in refs {
-            if !r.is_terminal() && !visited[r.index()] {
-                stack.push(r.index());
-            }
-            while let Some(i) = stack.pop() {
-                if visited[i] {
-                    continue;
-                }
-                visited[i] = true;
-                topo.push(i);
-                let n = self.nodes[i];
-                for child in [n.lo, n.hi] {
-                    if !child.is_terminal() && !visited[child.index()] {
-                        stack.push(child.index());
-                    }
-                }
-            }
-        }
-        // Ascending arena index is a topological order (children precede
-        // parents), so one forward pass rebuilds bottom-up.
-        topo.sort_unstable();
+        let mut scratch = WalkScratch::<()>::new();
+        self.reachable_topo_into(refs, &mut scratch);
         let mut map: Vec<NodeRef> = vec![NodeRef::FALSE; self.nodes.len()];
         let fetch = |map: &[NodeRef], child: NodeRef| {
             if child.is_terminal() {
@@ -733,50 +653,27 @@ impl ObddManager {
                 map[child.index()]
             }
         };
-        for &i in &topo {
-            let n = self.nodes[i];
+        // One forward pass over the topological order rebuilds bottom-up.
+        for &i in &scratch.topo {
+            let n = self.nodes[i as usize];
             let lo = fetch(&map, n.lo);
             let hi = fetch(&map, n.hi);
-            map[i] = target.mk(level_map(n.level), lo, hi);
+            map[i as usize] = target.mk(level_map(n.level), lo, hi);
         }
         refs.iter().map(|&r| fetch(&map, r)).collect()
     }
 
     /// Number of satisfying assignments over **all** variables of the
-    /// order (level-aware: reduction-skipped variables count double).
+    /// order: the probability walk at `1/2` for every variable
+    /// (reduction-skipped variables marginalize out), scaled by
+    /// `2^|order|`.
     pub fn model_count(&self, r: NodeRef) -> BigUint {
-        fn two_pow(e: u32) -> BigUint {
-            BigUint::from(1u64).shl_bits(u64::from(e))
-        }
-        fn rec(
-            m: &ObddManager,
-            r: NodeRef,
-            from_level: u32,
-            memo: &mut HashMap<NodeRef, BigUint>,
-        ) -> BigUint {
-            // Returns the count over variables at levels >= from_level,
-            // where level(r) >= from_level.
-            let total_levels = m.order.len() as u32;
-            match r {
-                NodeRef::FALSE => BigUint::zero(),
-                NodeRef::TRUE => two_pow(total_levels - from_level),
-                _ => {
-                    let n = m.nodes[r.index()];
-                    let at_node = if let Some(c) = memo.get(&r) {
-                        c.clone()
-                    } else {
-                        let hi = rec(m, n.hi, n.level + 1, memo);
-                        let lo = rec(m, n.lo, n.level + 1, memo);
-                        let c = &hi + &lo;
-                        memo.insert(r, c.clone());
-                        c
-                    };
-                    // Scale by the levels skipped above this node.
-                    &at_node * &two_pow(n.level - from_level)
-                }
-            }
-        }
-        rec(self, r, 0, &mut HashMap::new())
+        let half = BigRational::from_ratio(1, 2);
+        let p = self.probability_exact(r, &|_| half.clone());
+        let scale = BigUint::one().shl_bits(self.order.len() as u64);
+        let count = &p * &BigRational::new(BigInt::from(scale), BigUint::one());
+        debug_assert!(count.denom().is_one(), "model counts are integers");
+        count.numer().magnitude().clone()
     }
 
     /// Embeds the function as a d-D circuit: every decision node becomes
@@ -1106,6 +1003,16 @@ mod tests {
         for (lane, &p) in got.iter().enumerate() {
             let scalar = m.probability_f64(f, &|v| lane_prob(lane, v));
             assert_eq!(p.to_bits(), scalar.to_bits(), "lane {lane}");
+        }
+        // One scratch across roots: the sub-root `t` reaches a sliver of
+        // the arena, and the position map it rewrites must not leak into
+        // the next walk of `f`.
+        for root in [f, t, f] {
+            let lanes = m.probability_f64_many(root, &probs, &mut scratch);
+            for (lane, &p) in lanes.iter().enumerate() {
+                let scalar = m.probability_f64(root, &|v| lane_prob(lane, v));
+                assert_eq!(p.to_bits(), scalar.to_bits(), "{root:?} lane {lane}");
+            }
         }
         // Terminals short-circuit without touching the scratch.
         assert_eq!(

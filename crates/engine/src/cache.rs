@@ -7,11 +7,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use intext_boolfn::BoolFn;
-use intext_circuits::{EvalScratch, ProbMatrix};
+use intext_circuits::WalkScratch;
 use intext_core::CompiledLineage;
 use intext_lineage::DegenerateLineage;
-use intext_numeric::BigRational;
-use intext_tid::{Database, Tid, TupleDesc};
+use intext_numeric::Num;
+use intext_tid::{Database, TupleDesc};
 
 /// Semantic identity of a compiled lineage.
 ///
@@ -110,39 +110,17 @@ pub enum Artifact {
 }
 
 impl Artifact {
-    /// Exact probability under `tid` — one bottom-up pass, no
-    /// recompilation.
-    pub fn probability_exact(&self, tid: &Tid) -> BigRational {
+    /// Probability under per-variable probabilities `leaf` (indexed by
+    /// [`TupleId`](intext_tid::TupleId) raw value), in any number type —
+    /// one bottom-up pass, no recompilation. Exact, f64 and lane-batched
+    /// evaluation all instantiate this one walk, so lane `l` of an
+    /// `[f64; LANES]` walk is bit-identical to the `f64` walk under lane
+    /// `l`'s probabilities (`DESIGN.md` §6). Reusing `scratch` makes
+    /// steady-state walks allocation-free.
+    pub fn probability<N: Num>(&self, leaf: impl Fn(u32) -> N, scratch: &mut WalkScratch<N>) -> N {
         match self {
-            Artifact::Obdd(lin) => lin.probability_exact(tid),
-            Artifact::Dd(dd) => dd.probability_exact(tid),
-        }
-    }
-
-    /// Floating-point probability under `tid`.
-    pub fn probability_f64(&self, tid: &Tid) -> f64 {
-        match self {
-            Artifact::Obdd(lin) => lin.probability_f64(tid),
-            Artifact::Dd(dd) => dd.probability_f64(tid),
-        }
-    }
-
-    /// Lane-batched floating-point probabilities: one pass over the
-    /// compiled representation evaluates up to
-    /// [`LANES`](intext_circuits::LANES) probability scenarios from
-    /// `probs` at once, reusing `scratch` (zero steady-state heap
-    /// allocations). Lane `l` is bit-identical to
-    /// [`probability_f64`](Self::probability_f64) under lane `l`'s
-    /// probabilities — the kernel's fixed-op-order contract
-    /// (`DESIGN.md` §6).
-    pub fn probability_f64_many(
-        &self,
-        probs: &ProbMatrix,
-        scratch: &mut EvalScratch,
-    ) -> [f64; intext_circuits::LANES] {
-        match self {
-            Artifact::Obdd(lin) => lin.manager.probability_f64_many(lin.root, probs, scratch),
-            Artifact::Dd(dd) => dd.circuit.probability_f64_many(dd.root, probs, scratch),
+            Artifact::Obdd(lin) => lin.manager.probability(lin.root, leaf, scratch),
+            Artifact::Dd(dd) => dd.circuit.probability(dd.root, leaf, scratch),
         }
     }
 

@@ -9,15 +9,15 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use intext_boolfn::BoolFn;
-use intext_circuits::{EvalScratch, ProbMatrix, LANES};
+use intext_circuits::{EvalScratch, ProbMatrix, WalkScratch, LANES};
 use intext_core::{classify, compile_dd, Region};
-use intext_extensional::{pqe_extensional_with_lattice, pqe_extensional_with_lattice_f64};
+use intext_extensional::pqe_extensional_with_lattice;
 use intext_lattice::{cnf_lattice, QueryLattice};
 use intext_lineage::{compile_degenerate_obdd, DegenerateLineage};
-use intext_numeric::BigRational;
+use intext_numeric::{BigRational, Scalar};
 use intext_query::{
-    dnf_clause_bound, ground_circuit, is_safe_ucq, lifted_probability, lifted_probability_f64,
-    pqe_brute_force, pqe_brute_force_f64, recognize_h, HQuery, Query, QueryExpr, Ucq,
+    dnf_clause_bound, ground_circuit, is_safe_ucq, lifted_probability_as, pqe_brute_force_as,
+    recognize_h, HQuery, Query, QueryExpr, Ucq,
 };
 use intext_tid::{Relation, Tid, TidError, TupleDesc, TupleId};
 
@@ -455,86 +455,49 @@ impl Task {
             .expect("cacheable tasks carry an artifact")
     }
 
-    /// One scalar exact evaluation: the single dispatch every path
-    /// shares, so artifact/extensional/brute-force/sampling semantics
-    /// can never drift between the single-query, batch, and sharded
-    /// paths whose bit-for-bit parity the tests pin. `stream` is the
-    /// scenario's global batch index (used only by [`Plan::Sample`]);
-    /// the returned [`SampleRun`] is present iff the sampler ran.
-    fn eval_exact(&self, tid: &Tid, stream: u64) -> (BigRational, Option<SampleRun>) {
-        match self.plan {
-            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => {
-                (self.artifact().probability_exact(tid), None)
-            }
+    /// One scalar evaluation, exact or f64: the single dispatch every
+    /// path shares, so artifact/extensional/brute-force/sampling
+    /// semantics can never drift between number types or between the
+    /// single-query, batch, and sharded paths whose bit-for-bit parity
+    /// the tests pin. `stream` is the scenario's global batch index
+    /// (used only by [`Plan::Sample`]); the returned [`SampleRun`] is
+    /// present iff the sampler ran.
+    fn eval<N: Scalar>(&self, tid: &Tid, stream: u64) -> (N, Option<SampleRun>) {
+        let p = match self.plan {
+            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => self.artifact().probability(
+                |v| N::from_exact(tid.prob(TupleId(v))),
+                &mut WalkScratch::new(),
+            ),
             Plan::Extensional => {
                 let q = self.query.as_h().expect("extensional plans are H-only");
                 let lat = self
                     .lattice
                     .as_deref()
                     .expect("extensional tasks carry a lattice");
+                // Exact, then rounded: the Möbius sum cancels large
+                // terms, which only exact arithmetic survives.
                 let p = pqe_extensional_with_lattice(q, tid, lat)
                     .expect("planner guarantees a monotone safe φ");
-                (p, None)
+                N::from_exact(&p)
             }
             Plan::BruteForce => {
                 let q = self.query.as_h().expect("brute force is H-only");
-                let p =
-                    pqe_brute_force(q, tid).expect("planner bounds the instance below 64 tuples");
-                (p, None)
+                pqe_brute_force_as(q, tid).expect("planner bounds the instance below 64 tuples")
             }
             Plan::Sample(_) => {
                 let run = self.run_sampler(tid, stream);
                 // The estimate is a finite f64; embed it exactly so the
                 // exact and f64 batch paths agree bit for bit.
-                let p = BigRational::from_f64(run.estimate.value)
-                    .expect("estimates are finite by construction");
-                (p, Some(run))
+                return (N::from_f64(run.estimate.value), Some(run));
             }
             Plan::Lifted => {
                 let Resolved::Lifted { ucq, .. } = &*self.query else {
                     unreachable!("a Lifted plan carries a lifted resolution")
                 };
-                let p = lifted_probability(ucq, tid).expect("the planner verified the safety test");
-                (p, None)
+                lifted_probability_as(ucq, tid).expect("the planner verified the safety test")
             }
-        }
-    }
-
-    /// Floating-point [`eval_exact`](Self::eval_exact).
-    fn eval_f64(&self, tid: &Tid, stream: u64) -> (f64, Option<SampleRun>) {
-        match self.plan {
-            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => {
-                (self.artifact().probability_f64(tid), None)
-            }
-            Plan::Extensional => {
-                let q = self.query.as_h().expect("extensional plans are H-only");
-                let lat = self
-                    .lattice
-                    .as_deref()
-                    .expect("extensional tasks carry a lattice");
-                let p = pqe_extensional_with_lattice_f64(q, tid, lat)
-                    .expect("planner guarantees a monotone safe φ");
-                (p, None)
-            }
-            Plan::BruteForce => {
-                let q = self.query.as_h().expect("brute force is H-only");
-                let p = pqe_brute_force_f64(q, tid)
-                    .expect("planner bounds the instance below 64 tuples");
-                (p, None)
-            }
-            Plan::Sample(_) => {
-                let run = self.run_sampler(tid, stream);
-                (run.estimate.value, Some(run))
-            }
-            Plan::Lifted => {
-                let Resolved::Lifted { ucq, .. } = &*self.query else {
-                    unreachable!("a Lifted plan carries a lifted resolution")
-                };
-                let p =
-                    lifted_probability_f64(ucq, tid).expect("the planner verified the safety test");
-                (p, None)
-            }
-        }
+        };
+        (p, None)
     }
 }
 
@@ -655,13 +618,13 @@ impl PreparedQuery {
     /// RNG stream under a [`Plan::Sample`] route — pass `0` for a
     /// standalone query to match [`PqeEngine::evaluate`] bit for bit).
     pub fn eval_exact(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> BigRational {
-        self.eval_at(0, stats, |task| task.eval_exact(tid, stream))
+        self.eval_at(0, stats, |task| task.eval(tid, stream))
     }
 
     /// Floating-point [`eval_exact`](Self::eval_exact), bit-identical to
     /// [`PqeEngine::evaluate_f64`] at `stream = 0`.
     pub fn eval_f64(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> f64 {
-        self.eval_at(0, stats, |task| task.eval_f64(tid, stream))
+        self.eval_at(0, stats, |task| task.eval(tid, stream))
     }
 
     /// `PQE(Q)` as a uniformly-shaped [`Estimate`], bit-identical to
@@ -688,13 +651,27 @@ impl PreparedQuery {
         }
     }
 
-    /// Evaluates a contiguous same-shape run of scenarios exactly, one
-    /// scalar walk per scenario, pushing one probability per scenario
-    /// onto `out` and recording one [`QueryStats`] per scenario. `base`
-    /// is the run's global batch offset (scenario `i` samples from RNG
-    /// stream `base + i`). `_scratch` is unused — exact walks have no
-    /// lane kernel — and is there so both run walkers fit
-    /// [`walk_runs`].
+    /// Evaluates a contiguous same-shape run of scenarios, one scalar
+    /// walk per scenario, pushing one probability per scenario onto
+    /// `out` and recording one [`QueryStats`] per scenario. `base` is
+    /// the run's global batch offset (scenario `i` samples from RNG
+    /// stream `base + i`).
+    fn eval_run_scalar<N: Scalar>(
+        &self,
+        tids: &[Tid],
+        base: u64,
+        out: &mut Vec<N>,
+        stats: &mut EngineStats,
+    ) {
+        for (offset, tid) in tids.iter().enumerate() {
+            out.push(self.eval_at(offset, stats, |task| task.eval(tid, base + offset as u64)));
+        }
+    }
+
+    /// Evaluates a contiguous same-shape run of scenarios exactly
+    /// ([`eval_run_f64`](Self::eval_run_f64)'s contract without the
+    /// lane kernel). `_scratch` is unused — exact walks have no lane
+    /// kernel — and is there so both run walkers fit [`walk_runs`].
     pub fn eval_run_exact(
         &self,
         tids: &[Tid],
@@ -703,11 +680,7 @@ impl PreparedQuery {
         out: &mut Vec<BigRational>,
         stats: &mut EngineStats,
     ) {
-        for (offset, tid) in tids.iter().enumerate() {
-            out.push(self.eval_at(offset, stats, |task| {
-                task.eval_exact(tid, base + offset as u64)
-            }));
-        }
+        self.eval_run_scalar(tids, base, out, stats);
     }
 
     /// Evaluates a contiguous same-shape run of scenarios in f64,
@@ -735,12 +708,7 @@ impl PreparedQuery {
         stats: &mut EngineStats,
     ) {
         let Some(artifact) = self.task.artifact.as_deref().filter(|_| !tids.is_empty()) else {
-            for (offset, tid) in tids.iter().enumerate() {
-                out.push(self.eval_at(offset, stats, |task| {
-                    task.eval_f64(tid, base + offset as u64)
-                }));
-            }
-            return;
+            return self.eval_run_scalar(tids, base, out, stats);
         };
         let support = artifact.support_vars();
         let vars = tids[0].len();
@@ -752,7 +720,8 @@ impl PreparedQuery {
                 }
             }
             let started = Instant::now();
-            let lanes = artifact.probability_f64_many(&scratch.probs, &mut scratch.scratch);
+            let probs = &scratch.probs;
+            let lanes = artifact.probability(|v| *probs.block(v), &mut scratch.scratch);
             let per_lane = started.elapsed() / block.len() as u32;
             stats.lane_kernel_calls += 1;
             for (lane, &p) in lanes.iter().take(block.len()).enumerate() {
@@ -1773,11 +1742,11 @@ impl PqeEngine {
     /// the **lane-batched evaluation kernel**: consecutive same-shape
     /// scenarios share one compiled artifact, and each block of up to
     /// [`LANES`] scenarios is evaluated by a *single* forward pass over
-    /// the circuit ([`Artifact::probability_f64_many`]) — one gate
-    /// decode, zero steady-state allocations, all lanes advancing
+    /// the circuit ([`Artifact::probability`] at `[f64; LANES]`) — one
+    /// gate decode, zero steady-state allocations, all lanes advancing
     /// together. Results are bit-identical to calling
-    /// [`evaluate_f64`](Self::evaluate_f64) per scenario (the kernel's
-    /// fixed-op-order contract); each kernel invocation counts one
+    /// [`evaluate_f64`](Self::evaluate_f64) per scenario (both
+    /// instantiate one walk); each kernel invocation counts one
     /// [`EngineStats::lane_kernel_calls`].
     pub fn evaluate_batch_f64(
         &mut self,
@@ -1904,6 +1873,7 @@ impl PqeEngine {
 mod tests {
     use super::*;
     use intext_boolfn::{max_euler_fn, phi9, BoolFn};
+    use intext_query::pqe_brute_force;
     use intext_tid::{complete_database, uniform_tid, TupleId};
 
     fn half() -> BigRational {

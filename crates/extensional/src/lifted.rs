@@ -234,15 +234,6 @@ pub fn pqe_extensional_f64(q: &HQuery, tid: &Tid) -> Result<f64, ExtensionalErro
     pqe_extensional(q, tid).map(|p| p.to_f64())
 }
 
-/// `f64` wrapper around [`pqe_extensional_with_lattice`].
-pub fn pqe_extensional_with_lattice_f64(
-    q: &HQuery,
-    tid: &Tid,
-    lat: &QueryLattice,
-) -> Result<f64, ExtensionalError> {
-    pqe_extensional_with_lattice(q, tid, lat).map(|p| p.to_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

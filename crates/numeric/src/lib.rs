@@ -10,6 +10,9 @@
 //! * [`BigUint`] — arbitrary-precision unsigned integers (32-bit limbs),
 //! * [`BigInt`] — signed wrapper,
 //! * [`BigRational`] — always-reduced fractions, the probability type,
+//! * [`Num`] / [`Scalar`] — the arithmetic seam every probability walk
+//!   is generic over, implemented for [`BigRational`], `f64` and
+//!   `[f64; L]` lanes,
 //! * [`binomial`] — exact binomial coefficients (used to check the paper's
 //!   footnote 6: the number of Boolean functions with zero Euler
 //!   characteristic is `sum_j C(2^k, j)^2 = C(2^(k+1), 2^k)`).
@@ -21,10 +24,12 @@
 
 mod bigint;
 mod biguint;
+mod num;
 mod rational;
 
 pub use bigint::{BigInt, Sign};
 pub use biguint::BigUint;
+pub use num::{Num, Scalar};
 pub use rational::BigRational;
 
 /// Computes the exact binomial coefficient `C(n, k)`.

@@ -9,8 +9,9 @@
 
 use std::fmt;
 
-use intext_numeric::BigRational;
-use intext_tid::Tid;
+use intext_boolfn::BoolFn;
+use intext_numeric::{BigRational, Scalar};
+use intext_tid::{Database, Tid, TupleId};
 
 use crate::{h_witnesses, HQuery};
 
@@ -45,7 +46,7 @@ fn witness_masks(q: &HQuery, tid: &Tid) -> Vec<Vec<u64>> {
         .collect()
 }
 
-fn world_truth(phi: &intext_boolfn::BoolFn, masks: &[Vec<u64>], world: u64) -> bool {
+fn world_truth(phi: &BoolFn, masks: &[Vec<u64>], world: u64) -> bool {
     let mut truth = 0u32;
     for (i, ms) in masks.iter().enumerate() {
         // False positive of clippy::manual_contains: `m` is bound on both
@@ -58,65 +59,106 @@ fn world_truth(phi: &intext_boolfn::BoolFn, masks: &[Vec<u64>], world: u64) -> b
     phi.eval(truth)
 }
 
-/// Exact brute-force `PQE(Q_φ)` by summing over all `2^|D|` worlds.
-///
-/// The recursion shares partial products along world prefixes, so the
-/// total cost is `O(2^|D|)` rational multiplications plus a witness scan
-/// per world.
-pub fn pqe_brute_force(q: &HQuery, tid: &Tid) -> Result<BigRational, BruteForceError> {
-    let m = tid.len();
-    if m >= 64 {
-        return Err(BruteForceError::TooManyTuples(m));
-    }
-    let masks = witness_masks(q, tid);
-    fn rec(
-        q: &HQuery,
-        tid: &Tid,
-        masks: &[Vec<u64>],
-        depth: usize,
-        world: u64,
-        weight: BigRational,
-    ) -> BigRational {
-        if weight.is_zero() {
-            return BigRational::zero();
-        }
-        if depth == tid.len() {
-            return if world_truth(q.phi(), masks, world) {
-                weight
-            } else {
-                BigRational::zero()
-            };
-        }
-        let p = tid.prob(intext_tid::TupleId(depth as u32));
-        let with = rec(q, tid, masks, depth + 1, world | (1 << depth), &weight * p);
-        let without = rec(q, tid, masks, depth + 1, world, &weight * &p.complement());
-        &with + &without
-    }
-    Ok(rec(q, tid, &masks, 0, 0, BigRational::one()))
+/// Per tuple, the world-weight factors `p` (tuple kept) and `1 − p`
+/// (dropped), each `None` when exactly zero — so world enumerations can
+/// skip weight-zero worlds without comparing values of type `N`.
+pub(crate) fn weight_factors<N: Scalar>(tid: &Tid) -> Vec<(Option<N>, Option<N>)> {
+    (0..tid.len())
+        .map(|i| {
+            let p = tid.prob(TupleId(i as u32));
+            let kept = N::from_exact(p);
+            let dropped = N::one().sub(&kept);
+            (
+                (!p.is_zero()).then_some(kept),
+                (!p.is_one()).then_some(dropped),
+            )
+        })
+        .collect()
 }
 
-/// `f64` variant of [`pqe_brute_force`] for benchmarks.
-pub fn pqe_brute_force_f64(q: &HQuery, tid: &Tid) -> Result<f64, BruteForceError> {
+/// The total weight of the worlds of `tid` whose sub-database
+/// satisfies `holds`, enumerating all `2^|D|` worlds and materializing
+/// each one of nonzero weight — the query-agnostic oracle behind the
+/// general brute-force evaluators.
+pub(crate) fn sum_worlds<N: Scalar>(
+    tid: &Tid,
+    holds: impl Fn(&Database) -> bool,
+) -> Result<N, BruteForceError> {
+    let db = tid.database();
+    let m = db.len();
+    if m >= 64 {
+        return Err(BruteForceError::TooManyTuples(m));
+    }
+    let factors = weight_factors::<N>(tid);
+    let mut total = N::zero();
+    'worlds: for world in 0u64..(1u64 << m) {
+        let mut weight = N::one();
+        for (i, (kept, dropped)) in factors.iter().enumerate() {
+            match if world >> i & 1 == 1 { kept } else { dropped } {
+                Some(f) => weight = weight.mul(f),
+                None => continue 'worlds,
+            }
+        }
+        let mut sub = Database::new(db.k(), db.domain_size());
+        for i in (0..m).filter(|i| world >> i & 1 == 1) {
+            sub.insert(db.describe(TupleId(i as u32)))
+                .expect("tuples re-insert into an equal-shape database");
+        }
+        if holds(&sub) {
+            total = total.add(&weight);
+        }
+    }
+    Ok(total)
+}
+
+/// Brute-force `PQE(Q_φ)` by summing over all `2^|D|` worlds, in any
+/// scalar number type ([`BigRational`] or `f64`).
+///
+/// The recursion shares partial products along world prefixes, so the
+/// total cost is `O(2^|D|)` multiplications plus a witness scan per
+/// world. A tuple of probability `0` (`1`) prunes the branch that keeps
+/// (drops) it: every world below has weight zero.
+pub fn pqe_brute_force_as<N: Scalar>(q: &HQuery, tid: &Tid) -> Result<N, BruteForceError> {
     let m = tid.len();
     if m >= 64 {
         return Err(BruteForceError::TooManyTuples(m));
     }
     let masks = witness_masks(q, tid);
-    let probs: Vec<f64> = (0..m)
-        .map(|i| tid.prob_f64(intext_tid::TupleId(i as u32)))
-        .collect();
-    let mut total = 0.0f64;
-    for world in 0..(1u64 << m) {
-        if !world_truth(q.phi(), &masks, world) {
-            continue;
-        }
-        let mut w = 1.0;
-        for (i, &p) in probs.iter().enumerate() {
-            w *= if (world >> i) & 1 == 1 { p } else { 1.0 - p };
-        }
-        total += w;
+    let branches = weight_factors::<N>(tid);
+    fn rec<N: Scalar>(
+        phi: &BoolFn,
+        masks: &[Vec<u64>],
+        branches: &[(Option<N>, Option<N>)],
+        depth: usize,
+        world: u64,
+        weight: N,
+    ) -> N {
+        let Some((kept, dropped)) = branches.get(depth) else {
+            return if world_truth(phi, masks, world) {
+                weight
+            } else {
+                N::zero()
+            };
+        };
+        let branch = |factor: &Option<N>, world: u64| {
+            factor.as_ref().map_or_else(N::zero, |f| {
+                rec(phi, masks, branches, depth + 1, world, weight.mul(f))
+            })
+        };
+        branch(kept, world | (1 << depth)).add(&branch(dropped, world))
     }
-    Ok(total)
+    Ok(rec(q.phi(), &masks, &branches, 0, 0, N::one()))
+}
+
+/// Exact [`pqe_brute_force_as`]: the ground truth every other engine is
+/// checked against.
+pub fn pqe_brute_force(q: &HQuery, tid: &Tid) -> Result<BigRational, BruteForceError> {
+    pqe_brute_force_as(q, tid)
+}
+
+/// `f64` [`pqe_brute_force_as`].
+pub fn pqe_brute_force_f64(q: &HQuery, tid: &Tid) -> Result<f64, BruteForceError> {
+    pqe_brute_force_as(q, tid)
 }
 
 #[cfg(test)]

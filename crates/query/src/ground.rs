@@ -14,7 +14,7 @@ use intext_circuits::{NodeRef, ObddManager};
 use intext_numeric::BigRational;
 use intext_tid::{Database, Tid, TupleId};
 
-use crate::brute::BruteForceError;
+use crate::brute::{sum_worlds, BruteForceError};
 use crate::cq::{ConjunctiveQuery, Term};
 use crate::ucq::QueryExpr;
 
@@ -152,60 +152,16 @@ pub fn ground_circuit_probability_f64(expr: &QueryExpr, tid: &Tid) -> f64 {
 }
 
 /// Exact brute force over all `2^|D|` worlds, independent of both the
-/// lifted rules and the circuit compiler: builds each world as a
-/// sub-database and evaluates the query extensionally. The differential
-/// oracle for `tests/engine_ucq.rs`.
+/// lifted rules and the circuit compiler: builds each world of nonzero
+/// weight as a sub-database and evaluates the query extensionally. The
+/// differential oracle for `tests/engine_ucq.rs`.
 pub fn ucq_brute_force(expr: &QueryExpr, tid: &Tid) -> Result<BigRational, BruteForceError> {
-    let db = tid.database();
-    let m = db.len();
-    if m >= 64 {
-        return Err(BruteForceError::TooManyTuples(m));
-    }
-    let mut total = BigRational::zero();
-    for world in 0u64..(1u64 << m) {
-        let mut sub = Database::new(db.k(), db.domain_size());
-        for i in 0..m {
-            if world >> i & 1 == 1 {
-                sub.insert(db.describe(TupleId(i as u32)))
-                    .expect("tuples re-insert into an equal-shape database");
-            }
-        }
-        if expr.eval(&sub) {
-            total = &total + &tid.world_probability(world);
-        }
-    }
-    Ok(total)
+    sum_worlds(tid, |world| expr.eval(world))
 }
 
 /// `f64` variant of [`ucq_brute_force`].
 pub fn ucq_brute_force_f64(expr: &QueryExpr, tid: &Tid) -> Result<f64, BruteForceError> {
-    let db = tid.database();
-    let m = db.len();
-    if m >= 64 {
-        return Err(BruteForceError::TooManyTuples(m));
-    }
-    let probs: Vec<f64> = (0..m).map(|i| tid.prob_f64(TupleId(i as u32))).collect();
-    let mut total = 0.0f64;
-    for world in 0u64..(1u64 << m) {
-        let mut weight = 1.0f64;
-        for (i, p) in probs.iter().enumerate() {
-            weight *= if world >> i & 1 == 1 { *p } else { 1.0 - p };
-        }
-        if weight == 0.0 {
-            continue;
-        }
-        let mut sub = Database::new(db.k(), db.domain_size());
-        for i in 0..m {
-            if world >> i & 1 == 1 {
-                sub.insert(db.describe(TupleId(i as u32)))
-                    .expect("tuples re-insert into an equal-shape database");
-            }
-        }
-        if expr.eval(&sub) {
-            total += weight;
-        }
-    }
-    Ok(total)
+    sum_worlds(tid, |world| expr.eval(world))
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 use intext_numeric::{BigRational, BigUint};
 use intext_tid::{Database, Tid, TupleDesc};
 
+use crate::brute::sum_worlds;
 use crate::{Atom, ConjunctiveQuery, Term};
 
 /// A positive partitioned 2-CNF: clauses `(x_i ∨ y_j)` over disjoint
@@ -127,27 +128,11 @@ impl Pp2Cnf {
 /// CQ evaluator. Exponential — which is the point when it plays the
 /// oracle for a `#P`-hard query.
 pub fn pqe_brute_force_cq(q: &ConjunctiveQuery, tid: &Tid) -> BigRational {
-    let db = tid.database();
-    let m = db.len();
-    assert!(m < 26, "brute-force CQ evaluation supports < 26 tuples");
-    let tuples: Vec<TupleDesc> = db.iter().map(|(_, t)| t).collect();
-    let mut total = BigRational::zero();
-    for world in 0..(1u64 << m) {
-        let p = tid.world_probability(world);
-        if p.is_zero() {
-            continue;
-        }
-        let mut sub = Database::new(db.k(), db.domain_size());
-        for (idx, &t) in tuples.iter().enumerate() {
-            if (world >> idx) & 1 == 1 {
-                sub.insert(t).expect("subset of a valid instance");
-            }
-        }
-        if q.eval(&sub) {
-            total = &total + &p;
-        }
-    }
-    total
+    assert!(
+        tid.len() < 26,
+        "brute-force CQ evaluation supports < 26 tuples"
+    );
+    sum_worlds(tid, |world| q.eval(world)).expect("fewer than 64 tuples")
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ mod parse;
 mod query;
 mod ucq;
 
-pub use brute::{pqe_brute_force, pqe_brute_force_f64, BruteForceError};
+pub use brute::{pqe_brute_force, pqe_brute_force_as, pqe_brute_force_f64, BruteForceError};
 pub use cq::{Atom, ConjunctiveQuery, Term};
 pub use dnf::{dnf_clause_bound, lineage_dnf, DnfLineage};
 pub use ground::{
@@ -46,7 +46,7 @@ pub use ground::{
 };
 pub use hardness::{pqe_brute_force_cq, Pp2Cnf};
 pub use hquery::{h_cq, h_truth_vector, h_witnesses, HQuery};
-pub use lifted::{is_safe_ucq, lifted_probability, lifted_probability_f64};
+pub use lifted::{is_safe_ucq, lifted_probability, lifted_probability_as, lifted_probability_f64};
 pub use parse::{parse_query, ParseError, MAX_DEPTH};
 pub use query::{h_query_text, recognize_h, Query};
 pub use ucq::{QueryExpr, Ucq, MAX_UCQ_DISJUNCTS};

@@ -29,10 +29,17 @@
 //! relation symbols), so a symbolically safe query can never get stuck
 //! at evaluation time. The test is conservative: some queries it
 //! rejects may still be tractable.
+//!
+//! The evaluator is written once against the workspace's arithmetic
+//! seam, [`Scalar`] (a [`Num`](intext_numeric::Num) that exact inputs
+//! can enter), and instantiated per number type by
+//! [`lifted_probability_as`]: [`lifted_probability`] is the
+//! [`BigRational`] instantiation, [`lifted_probability_f64`] the `f64`
+//! one.
 
 use std::collections::BTreeSet;
 
-use intext_numeric::BigRational;
+use intext_numeric::{BigRational, Scalar};
 use intext_tid::{Database, Relation, Tid, TupleId};
 
 use crate::cq::{Atom, ConjunctiveQuery, Term};
@@ -41,59 +48,6 @@ use crate::ucq::{merge_cqs, Ucq};
 /// Inclusion–exclusion expands `2^m − 1` subsets; beyond this many
 /// entangled disjuncts the query is treated as unsafe.
 const MAX_INCLUSION_EXCLUSION: usize = 12;
-
-/// The arithmetic the lifted evaluator needs, instantiated for exact
-/// rationals and for floats.
-trait Num: Clone {
-    fn zero() -> Self;
-    fn one() -> Self;
-    fn add(&self, other: &Self) -> Self;
-    fn sub(&self, other: &Self) -> Self;
-    fn mul(&self, other: &Self) -> Self;
-    fn tuple_prob(tid: &Tid, id: TupleId) -> Self;
-}
-
-impl Num for BigRational {
-    fn zero() -> Self {
-        BigRational::zero()
-    }
-    fn one() -> Self {
-        BigRational::one()
-    }
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-    fn sub(&self, other: &Self) -> Self {
-        self - other
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self * other
-    }
-    fn tuple_prob(tid: &Tid, id: TupleId) -> Self {
-        tid.prob(id).clone()
-    }
-}
-
-impl Num for f64 {
-    fn zero() -> Self {
-        0.0
-    }
-    fn one() -> Self {
-        1.0
-    }
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-    fn sub(&self, other: &Self) -> Self {
-        self - other
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self * other
-    }
-    fn tuple_prob(tid: &Tid, id: TupleId) -> Self {
-        tid.prob_f64(id)
-    }
-}
 
 fn atom_vars(atom: &Atom) -> BTreeSet<u8> {
     atom.args
@@ -218,7 +172,7 @@ fn ground_tuple(db: &Database, atom: &Atom) -> Option<TupleId> {
     }
 }
 
-fn eval_union<N: Num>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
+fn eval_union<N: Scalar>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
     if cqs.iter().any(|c| c.atoms.is_empty()) {
         return Some(N::one());
     }
@@ -258,7 +212,7 @@ fn eval_union<N: Num>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
     eval_cq::<N>(&cqs[0], tid)
 }
 
-fn eval_cq<N: Num>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
+fn eval_cq<N: Scalar>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
     let cq = dedup_atoms(cq);
     if cq.atoms.is_empty() {
         return Some(N::one());
@@ -268,7 +222,7 @@ fn eval_cq<N: Num>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
         let mut p = N::one();
         for atom in &cq.atoms {
             match ground_tuple(tid.database(), atom) {
-                Some(id) => p = p.mul(&N::tuple_prob(tid, id)),
+                Some(id) => p = p.mul(&N::from_exact(tid.prob(id))),
                 None => return Some(N::zero()),
             }
         }
@@ -374,16 +328,21 @@ pub fn is_safe_ucq(ucq: &Ucq) -> bool {
     safe_union(ucq.disjuncts())
 }
 
-/// Exact lifted evaluation. Returns `None` iff the recursion gets
-/// stuck, which [`is_safe_ucq`] rules out in advance.
-pub fn lifted_probability(ucq: &Ucq, tid: &Tid) -> Option<BigRational> {
-    eval_union::<BigRational>(ucq.disjuncts(), tid)
+/// Lifted evaluation in any scalar number type ([`BigRational`] or
+/// `f64`): one recursion, instantiated per type. Returns `None` iff the
+/// recursion gets stuck, which [`is_safe_ucq`] rules out in advance.
+pub fn lifted_probability_as<N: Scalar>(ucq: &Ucq, tid: &Tid) -> Option<N> {
+    eval_union::<N>(ucq.disjuncts(), tid)
 }
 
-/// Float lifted evaluation; same recursion as [`lifted_probability`]
-/// with `f64` arithmetic.
+/// Exact [`lifted_probability_as`].
+pub fn lifted_probability(ucq: &Ucq, tid: &Tid) -> Option<BigRational> {
+    lifted_probability_as(ucq, tid)
+}
+
+/// Float [`lifted_probability_as`].
 pub fn lifted_probability_f64(ucq: &Ucq, tid: &Tid) -> Option<f64> {
-    eval_union::<f64>(ucq.disjuncts(), tid)
+    lifted_probability_as(ucq, tid)
 }
 
 #[cfg(test)]
