@@ -1,18 +1,15 @@
 //! The `PqeEngine`: plan, compile, cache, evaluate — sequentially or
 //! fanned across shard workers sharing one compiled circuit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use intext_boolfn::BoolFn;
 use intext_circuits::{EvalScratch, ProbMatrix, WalkScratch, LANES};
 use intext_core::{classify, compile_dd, Region};
-use intext_extensional::pqe_extensional_with_lattice;
-use intext_lattice::{cnf_lattice, QueryLattice};
 use intext_lineage::{compile_degenerate_obdd, DegenerateLineage};
 use intext_numeric::{BigRational, Scalar};
 use intext_query::{
@@ -60,12 +57,6 @@ pub struct EngineConfig {
     /// (`2^tuples` possible worlds); larger instances return
     /// [`EngineError::Intractable`]. Capped at 63 by the world bitmask.
     pub max_brute_force_tuples: usize,
-    /// Route *monotone safe* nondegenerate queries through lifted
-    /// inference instead of the d-D pipeline. Off by default: the
-    /// compiled circuit amortizes across re-weightings, which lifted
-    /// inference cannot. Degenerate queries keep the OBDD route either
-    /// way (it is both cheaper and cacheable).
-    pub prefer_extensional: bool,
     /// Gate budget of the artifact cache (total OBDD nodes + d-D gates
     /// retained); `None` keeps every artifact forever. When the budget
     /// overflows, least-recently-used artifacts are evicted and counted
@@ -91,7 +82,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             max_brute_force_tuples: 20,
-            prefer_extensional: false,
             cache_gate_budget: None,
             sampling: None,
             max_ground_tuples: 64,
@@ -109,10 +99,11 @@ impl Default for EngineConfig {
 ///
 /// let config = EngineConfig::builder()
 ///     .max_brute_force_tuples(16)
-///     .prefer_extensional(true)
+///     .cache_gate_budget(Some(4096))
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(config.max_brute_force_tuples, 16);
+/// assert_eq!(config.cache_gate_budget, Some(4096));
 ///
 /// let err = EngineConfig::builder().max_brute_force_tuples(64).build().unwrap_err();
 /// assert_eq!(err, ConfigError::BruteForceBudgetTooLarge { requested: 64 });
@@ -126,12 +117,6 @@ impl EngineConfigBuilder {
     /// Sets [`EngineConfig::max_brute_force_tuples`].
     pub fn max_brute_force_tuples(mut self, tuples: usize) -> Self {
         self.config.max_brute_force_tuples = tuples;
-        self
-    }
-
-    /// Sets [`EngineConfig::prefer_extensional`].
-    pub fn prefer_extensional(mut self, prefer: bool) -> Self {
-        self.config.prefer_extensional = prefer;
         self
     }
 
@@ -321,12 +306,6 @@ impl std::error::Error for EngineError {}
 pub struct PqeEngine {
     config: EngineConfig,
     cache: ArtifactCache,
-    /// Memoized `cnf_lattice(φ)` + Möbius values per extensional `φ`.
-    /// Keyed by the canonical truth table (like the artifact cache), so
-    /// syntactic variants share one lattice; entries are a few hundred
-    /// bytes (the lattice depends only on `φ`, never on the database),
-    /// so no eviction policy is needed.
-    lattices: HashMap<BoolFn, Arc<QueryLattice>>,
     stats: EngineStats,
 }
 
@@ -372,135 +351,6 @@ impl Resolved {
     }
 }
 
-/// The shared state one same-shape run of scenarios evaluates against:
-/// everything a walk needs so that walking never touches the cache, the
-/// lattice memo, or `&mut self`.
-struct Task {
-    /// The resolved query this task evaluates — shared across a run so
-    /// fallback backends (and shard workers) never re-resolve.
-    query: Arc<Resolved>,
-    plan: Plan,
-    artifact: Option<Arc<Artifact>>,
-    /// The memoized CNF lattice, present iff `plan` is
-    /// [`Plan::Extensional`].
-    lattice: Option<Arc<QueryLattice>>,
-    /// The grounded sampler input, present iff `plan` is
-    /// [`Plan::Sample`]. Like the artifact, it depends only on the
-    /// database *shape*, so one build serves a whole same-shape run.
-    sampler: Option<Arc<SamplerArtifact>>,
-    /// `artifact.size()`, computed once per compile/fetch — an OBDD's
-    /// size is a reachability count, too expensive to recount per
-    /// scenario.
-    size: Option<usize>,
-    cache_hit: bool,
-    compile_time: Duration,
-}
-
-impl Task {
-    /// The record for a scenario that shares this task's artifact (or
-    /// lattice, or sampler) instead of fetching its own.
-    fn shared(&self) -> Task {
-        Task {
-            query: Arc::clone(&self.query),
-            plan: self.plan,
-            artifact: self.artifact.clone(),
-            lattice: self.lattice.clone(),
-            sampler: self.sampler.clone(),
-            size: self.size,
-            cache_hit: self.artifact.is_some(),
-            compile_time: Duration::ZERO,
-        }
-    }
-
-    /// The record skeleton for the scenario at `offset` within a run
-    /// this task heads: the run head (offset 0) carries the task's
-    /// compile/hit attribution, every later scenario is a shared walk
-    /// ([`Task::shared`] derives the same fields). `eval_time` is left
-    /// zero for the caller to fill in.
-    fn query_stats_at(&self, offset: usize) -> QueryStats {
-        QueryStats {
-            plan: self.plan,
-            cache_hit: if offset == 0 {
-                self.cache_hit
-            } else {
-                self.artifact.is_some()
-            },
-            circuit_size: self.size,
-            compile_time: if offset == 0 {
-                self.compile_time
-            } else {
-                Duration::ZERO
-            },
-            eval_time: Duration::ZERO,
-            samples: 0,
-        }
-    }
-
-    /// Runs this task's sampler for the scenario at global batch index
-    /// `stream`. The stream index is what makes sharded sampling
-    /// bit-identical to sequential: every scenario draws from the RNG
-    /// stream `(seed, its own batch position)` no matter which worker
-    /// runs it.
-    fn run_sampler(&self, tid: &Tid, stream: u64) -> SampleRun {
-        self.sampler
-            .as_deref()
-            .expect("sample tasks carry a sampler artifact")
-            .run(tid, stream)
-    }
-
-    /// The artifact a cacheable plan walks.
-    fn artifact(&self) -> &Artifact {
-        self.artifact
-            .as_deref()
-            .expect("cacheable tasks carry an artifact")
-    }
-
-    /// One scalar evaluation, exact or f64: the single dispatch every
-    /// path shares, so artifact/extensional/brute-force/sampling
-    /// semantics can never drift between number types or between the
-    /// single-query, batch, and sharded paths whose bit-for-bit parity
-    /// the tests pin. `stream` is the scenario's global batch index
-    /// (used only by [`Plan::Sample`]); the returned [`SampleRun`] is
-    /// present iff the sampler ran.
-    fn eval<N: Scalar>(&self, tid: &Tid, stream: u64) -> (N, Option<SampleRun>) {
-        let p = match self.plan {
-            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => self.artifact().probability(
-                |v| N::from_exact(tid.prob(TupleId(v))),
-                &mut WalkScratch::new(),
-            ),
-            Plan::Extensional => {
-                let q = self.query.as_h().expect("extensional plans are H-only");
-                let lat = self
-                    .lattice
-                    .as_deref()
-                    .expect("extensional tasks carry a lattice");
-                // Exact, then rounded: the Möbius sum cancels large
-                // terms, which only exact arithmetic survives.
-                let p = pqe_extensional_with_lattice(q, tid, lat)
-                    .expect("planner guarantees a monotone safe φ");
-                N::from_exact(&p)
-            }
-            Plan::BruteForce => {
-                let q = self.query.as_h().expect("brute force is H-only");
-                pqe_brute_force_as(q, tid).expect("planner bounds the instance below 64 tuples")
-            }
-            Plan::Sample(_) => {
-                let run = self.run_sampler(tid, stream);
-                // The estimate is a finite f64; embed it exactly so the
-                // exact and f64 batch paths agree bit for bit.
-                return (N::from_f64(run.estimate.value), Some(run));
-            }
-            Plan::Lifted => {
-                let Resolved::Lifted { ucq, .. } = &*self.query else {
-                    unreachable!("a Lifted plan carries a lifted resolution")
-                };
-                lifted_probability_as(ucq, tid).expect("the planner verified the safety test")
-            }
-        };
-        (p, None)
-    }
-}
-
 /// Folds one scalar evaluation's outcome into a stats record: sampler
 /// runs contribute their sample count (and any lane-kernel calls the
 /// naive world sampler made) exactly once, on whichever path ran them.
@@ -518,14 +368,13 @@ fn record_scalar(
     stats.record(record);
 }
 
-/// A planned query whose shared state — the cached `Arc<Artifact>`, the
-/// memoized CNF lattice, or a grounded sampler — has already been
-/// fetched, so evaluation is a **pure function of the prepared state**:
-/// no cache probe, no lock, no `&mut PqeEngine`. This is the unit of
-/// work every evaluation path walks: single queries evaluate one, and
-/// batches hand one per same-shape run to [`walk_runs`]. It is
-/// `Send + Sync`, and many threads may evaluate clones of the same
-/// preparation concurrently.
+/// A planned query whose shared state — the cached `Arc<Artifact>` or a
+/// grounded sampler — has already been fetched, so evaluation is a
+/// **pure function of the prepared state**: no cache probe, no lock, no
+/// `&mut PqeEngine`. This is the unit of work every evaluation path
+/// walks: single queries evaluate one, and batches hand one per
+/// same-shape run to [`walk_runs`]. It is `Send + Sync`, and many
+/// threads may evaluate clones of the same preparation concurrently.
 ///
 /// Obtain one from [`PqeEngine::prepare`] (may compile; needs
 /// `&mut self`) or [`PqeEngine::prepare_shared`] (read-only probe;
@@ -535,13 +384,21 @@ fn record_scalar(
 /// evaluating the same requests would report — the invariant the
 /// serve-layer differential tests pin.
 pub struct PreparedQuery {
-    task: Task,
-    /// The lattice came from a read-path memo probe
-    /// ([`PqeEngine::prepare_shared`]) rather than being built by this
-    /// preparation: evaluation records the
-    /// [`EngineStats::extensional_memo_hits`] the write path would have
-    /// counted inside the engine.
-    memo_hit: bool,
+    /// The resolved query — shared across a run so fallback backends
+    /// (and shard workers) never re-resolve.
+    query: Arc<Resolved>,
+    plan: Plan,
+    artifact: Option<Arc<Artifact>>,
+    /// The grounded sampler input, present iff `plan` is
+    /// [`Plan::Sample`]. Like the artifact, it depends only on the
+    /// database *shape*, so one build serves a whole same-shape run.
+    sampler: Option<Arc<SamplerArtifact>>,
+    /// `artifact.size()`, computed once per compile/fetch — an OBDD's
+    /// size is a reachability count, too expensive to recount per
+    /// scenario.
+    size: Option<usize>,
+    cache_hit: bool,
+    compile_time: Duration,
 }
 
 /// Reusable lane-kernel scratch for [`PreparedQuery::eval_run_f64`]:
@@ -563,30 +420,107 @@ impl LaneScratch {
 impl PreparedQuery {
     /// The backend the planner chose.
     pub fn plan(&self) -> Plan {
-        self.task.plan
+        self.plan
     }
 
     /// Whether the artifact came from the cache (always `false` for
     /// non-cacheable plans).
     pub fn cache_hit(&self) -> bool {
-        self.task.cache_hit
+        self.cache_hit
     }
 
     /// Size of the compiled circuit, when the plan is cacheable.
     pub fn circuit_size(&self) -> Option<usize> {
-        self.task.size
+        self.size
     }
 
     /// A preparation for another same-shape scenario sharing this one's
     /// fetched state: the share is accounted exactly like the engine's
-    /// own batch paths (a cache hit for artifact plans, one
-    /// [`EngineStats::extensional_memo_hits`] for extensional ones,
-    /// zero compile time).
+    /// own batch paths (a cache hit for artifact plans, zero compile
+    /// time).
     pub fn share(&self) -> PreparedQuery {
         PreparedQuery {
-            task: self.task.shared(),
-            memo_hit: self.task.plan == Plan::Extensional,
+            query: Arc::clone(&self.query),
+            plan: self.plan,
+            artifact: self.artifact.clone(),
+            sampler: self.sampler.clone(),
+            size: self.size,
+            cache_hit: self.artifact.is_some(),
+            compile_time: Duration::ZERO,
         }
+    }
+
+    /// The record skeleton for the scenario at `offset` within a run
+    /// this preparation heads: the run head (offset 0) carries the
+    /// compile/hit attribution, every later scenario is a shared walk
+    /// ([`share`](Self::share) derives the same fields). `eval_time` is
+    /// left zero for the caller to fill in.
+    fn query_stats_at(&self, offset: usize) -> QueryStats {
+        QueryStats {
+            plan: self.plan,
+            cache_hit: if offset == 0 {
+                self.cache_hit
+            } else {
+                self.artifact.is_some()
+            },
+            circuit_size: self.size,
+            compile_time: if offset == 0 {
+                self.compile_time
+            } else {
+                Duration::ZERO
+            },
+            eval_time: Duration::ZERO,
+            samples: 0,
+        }
+    }
+
+    /// Runs the sampler for the scenario at global batch index
+    /// `stream`. The stream index is what makes sharded sampling
+    /// bit-identical to sequential: every scenario draws from the RNG
+    /// stream `(seed, its own batch position)` no matter which worker
+    /// runs it.
+    fn run_sampler(&self, tid: &Tid, stream: u64) -> SampleRun {
+        self.sampler
+            .as_deref()
+            .expect("sample plans carry a sampler artifact")
+            .run(tid, stream)
+    }
+
+    /// One scalar evaluation, exact or f64: the single dispatch every
+    /// path shares, so artifact/brute-force/sampling semantics can never
+    /// drift between number types or between the single-query, batch,
+    /// and sharded paths whose bit-for-bit parity the tests pin.
+    /// `stream` is the scenario's global batch index (used only by
+    /// [`Plan::Sample`]); the returned [`SampleRun`] is present iff the
+    /// sampler ran.
+    fn eval<N: Scalar>(&self, tid: &Tid, stream: u64) -> (N, Option<SampleRun>) {
+        let p = match self.plan {
+            Plan::Obdd | Plan::DdCircuit | Plan::GroundCircuit => self
+                .artifact
+                .as_deref()
+                .expect("cacheable plans carry an artifact")
+                .probability(
+                    |v| N::from_exact(tid.prob(TupleId(v))),
+                    &mut WalkScratch::new(),
+                ),
+            Plan::BruteForce => {
+                let q = self.query.as_h().expect("brute force is H-only");
+                pqe_brute_force_as(q, tid).expect("planner bounds the instance below 64 tuples")
+            }
+            Plan::Sample(_) => {
+                let run = self.run_sampler(tid, stream);
+                // The estimate is a finite f64; embed it exactly so the
+                // exact and f64 batch paths agree bit for bit.
+                return (N::from_f64(run.estimate.value), Some(run));
+            }
+            Plan::Lifted => {
+                let Resolved::Lifted { ucq, .. } = &*self.query else {
+                    unreachable!("a Lifted plan carries a lifted resolution")
+                };
+                lifted_probability_as(ucq, tid).expect("the planner verified the safety test")
+            }
+        };
+        (p, None)
     }
 
     /// One scalar evaluation of the scenario at `offset` within the run
@@ -597,16 +531,13 @@ impl PreparedQuery {
         &self,
         offset: usize,
         stats: &mut EngineStats,
-        eval: impl FnOnce(&Task) -> (T, Option<SampleRun>),
+        eval: impl FnOnce() -> (T, Option<SampleRun>),
     ) -> T {
-        if self.task.plan == Plan::Extensional && (offset > 0 || self.memo_hit) {
-            stats.extensional_memo_hits += 1;
-        }
         let started = Instant::now();
-        let (p, sample_run) = eval(&self.task);
+        let (p, sample_run) = eval();
         record_scalar(
             stats,
-            self.task.query_stats_at(offset),
+            self.query_stats_at(offset),
             started.elapsed(),
             sample_run,
         );
@@ -618,13 +549,13 @@ impl PreparedQuery {
     /// RNG stream under a [`Plan::Sample`] route — pass `0` for a
     /// standalone query to match [`PqeEngine::evaluate`] bit for bit).
     pub fn eval_exact(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> BigRational {
-        self.eval_at(0, stats, |task| task.eval(tid, stream))
+        self.eval_at(0, stats, || self.eval(tid, stream))
     }
 
     /// Floating-point [`eval_exact`](Self::eval_exact), bit-identical to
     /// [`PqeEngine::evaluate_f64`] at `stream = 0`.
     pub fn eval_f64(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> f64 {
-        self.eval_at(0, stats, |task| task.eval(tid, stream))
+        self.eval_at(0, stats, || self.eval(tid, stream))
     }
 
     /// `PQE(Q)` as a uniformly-shaped [`Estimate`], bit-identical to
@@ -632,9 +563,9 @@ impl PreparedQuery {
     /// with `eps = delta = 0`, [`Plan::Sample`] routes Monte-Carlo
     /// bounded.
     pub fn eval_estimate(&self, tid: &Tid, stream: u64, stats: &mut EngineStats) -> Estimate {
-        if let Plan::Sample(_) = self.task.plan {
-            return self.eval_at(0, stats, |task| {
-                let run = task.run_sampler(tid, stream);
+        if let Plan::Sample(_) = self.plan {
+            return self.eval_at(0, stats, || {
+                let run = self.run_sampler(tid, stream);
                 (run.estimate, Some(run))
             });
         }
@@ -664,7 +595,7 @@ impl PreparedQuery {
         stats: &mut EngineStats,
     ) {
         for (offset, tid) in tids.iter().enumerate() {
-            out.push(self.eval_at(offset, stats, |task| task.eval(tid, base + offset as u64)));
+            out.push(self.eval_at(offset, stats, || self.eval(tid, base + offset as u64)));
         }
     }
 
@@ -707,7 +638,7 @@ impl PreparedQuery {
         out: &mut Vec<f64>,
         stats: &mut EngineStats,
     ) {
-        let Some(artifact) = self.task.artifact.as_deref().filter(|_| !tids.is_empty()) else {
+        let Some(artifact) = self.artifact.as_deref().filter(|_| !tids.is_empty()) else {
             return self.eval_run_scalar(tids, base, out, stats);
         };
         let support = artifact.support_vars();
@@ -726,7 +657,7 @@ impl PreparedQuery {
             stats.lane_kernel_calls += 1;
             for (lane, &p) in lanes.iter().take(block.len()).enumerate() {
                 out.push(p);
-                let mut record = self.task.query_stats_at(block_idx * LANES + lane);
+                let mut record = self.query_stats_at(block_idx * LANES + lane);
                 record.eval_time = per_lane;
                 stats.record(record);
             }
@@ -880,7 +811,6 @@ impl PqeEngine {
         Ok(PqeEngine {
             cache: ArtifactCache::new(config.cache_gate_budget),
             config,
-            lattices: HashMap::new(),
             stats: EngineStats::default(),
         })
     }
@@ -930,30 +860,9 @@ impl PqeEngine {
         self.stats.cache_evictions += self.cache.set_budget(budget);
     }
 
-    /// Drops every cached artifact (not counted as evictions) and the
-    /// memoized extensional lattices.
+    /// Drops every cached artifact (not counted as evictions).
     pub fn clear_cache(&mut self) {
         self.cache.clear();
-        self.lattices.clear();
-    }
-
-    /// Number of distinct `φ` whose CNF lattice + Möbius values are
-    /// memoized for [`Plan::Extensional`] re-evaluation.
-    pub fn lattice_memo_len(&self) -> usize {
-        self.lattices.len()
-    }
-
-    /// The memoized CNF lattice for `phi`, building (and retaining) it
-    /// on first use; every reuse counts one
-    /// [`EngineStats::extensional_memo_hits`].
-    fn extensional_lattice(&mut self, phi: &BoolFn) -> Arc<QueryLattice> {
-        if let Some(lat) = self.lattices.get(phi) {
-            self.stats.extensional_memo_hits += 1;
-            return Arc::clone(lat);
-        }
-        let lat = Arc::new(cnf_lattice(phi));
-        self.lattices.insert(phi.clone(), Arc::clone(&lat));
-        lat
     }
 
     /// Serializes the whole artifact cache into one versioned bundle
@@ -1343,13 +1252,7 @@ impl PqeEngine {
                 let region = classify(phi);
                 match region {
                     Region::DegenerateObdd => Ok(Plan::Obdd),
-                    Region::ZeroEulerDD => {
-                        if self.config.prefer_extensional && phi.is_monotone() {
-                            Ok(Plan::Extensional)
-                        } else {
-                            Ok(Plan::DdCircuit)
-                        }
-                    }
+                    Region::ZeroEulerDD => Ok(Plan::DdCircuit),
                     Region::HardMonotone | Region::HardByTransfer | Region::ConjecturedHard => {
                         // Validated ≤ 63 at construction (ConfigError otherwise).
                         let budget = self.config.max_brute_force_tuples;
@@ -1409,11 +1312,10 @@ impl PqeEngine {
     /// `DESIGN.md`):
     ///
     /// 1. degenerate `φ` → [`Plan::Obdd`] (Proposition 3.7);
-    /// 2. monotone `φ`, `e(φ) = 0`, with
-    ///    [`prefer_extensional`](EngineConfig::prefer_extensional) →
-    ///    [`Plan::Extensional`] (safe by Corollary 3.9);
-    /// 3. `e(φ) = 0` → [`Plan::DdCircuit`] (Theorem 5.2);
-    /// 4. otherwise `PQE(Q_φ)` is `#P`-hard or conjectured so →
+    /// 2. `e(φ) = 0` → [`Plan::DdCircuit`] (Theorem 5.2), which covers
+    ///    every safe monotone `φ` (Corollary 3.9) without
+    ///    inclusion–exclusion;
+    /// 3. otherwise `PQE(Q_φ)` is `#P`-hard or conjectured so →
     ///    [`Plan::BruteForce`] within the budget; beyond it,
     ///    [`Plan::Sample`] when [`EngineConfig::sampling`] is enabled
     ///    (Karp–Luby over the grounded DNF when `φ` is monotone and the
@@ -1511,7 +1413,7 @@ impl PqeEngine {
                 // replays), so live updates simply leave it to recompile.
                 Artifact::Obdd(DegenerateLineage::new(manager, root, 0))
             }
-            Plan::Extensional | Plan::BruteForce | Plan::Sample(_) | Plan::Lifted => {
+            Plan::BruteForce | Plan::Sample(_) | Plan::Lifted => {
                 unreachable!("only cacheable plans compile artifacts")
             }
         }
@@ -1545,17 +1447,16 @@ impl PqeEngine {
         Ok(self.prepare(q, tid)?.eval_estimate(tid, 0, &mut self.stats))
     }
 
-    /// A task for `plan` with no cached state fetched yet. A
-    /// [`Plan::Sample`] task comes with its grounded sampler built — a
-    /// pure function of the database shape, so the write and read
-    /// prepare paths build it identically — and the build time lands
-    /// in `compile_time`.
-    fn new_task(&self, query: &Arc<Resolved>, plan: Plan, tid: &Tid) -> Task {
-        let mut task = Task {
+    /// A preparation for `plan` with no cached state fetched yet. A
+    /// [`Plan::Sample`] preparation comes with its grounded sampler
+    /// built — a pure function of the database shape, so the write and
+    /// read prepare paths build it identically — and the build time
+    /// lands in `compile_time`.
+    fn new_prepared(&self, query: &Arc<Resolved>, plan: Plan, tid: &Tid) -> PreparedQuery {
+        let mut prepared = PreparedQuery {
             query: Arc::clone(query),
             plan,
             artifact: None,
-            lattice: None,
             sampler: None,
             size: None,
             cache_hit: false,
@@ -1568,57 +1469,49 @@ impl PqeEngine {
                 .sampling
                 .expect("a Sample plan implies sampling is configured");
             let started = Instant::now();
-            task.sampler = Some(Arc::new(SamplerArtifact::build(kind, q, tid, sampling)));
-            task.compile_time = started.elapsed();
+            prepared.sampler = Some(Arc::new(SamplerArtifact::build(kind, q, tid, sampling)));
+            prepared.compile_time = started.elapsed();
         }
-        task
+        prepared
     }
 
     /// Begins a contiguous same-shape run on its first scenario, already
     /// planned: fetches (or compiles) whatever shared state the run
-    /// needs — the cached artifact for cacheable plans, the memoized CNF
-    /// lattice for extensional ones, the sampler for sampled ones.
-    /// Every later scenario of the run reuses the result via
-    /// [`PreparedQuery::share`], skipping the `O(|D|)` cache-key hash
-    /// entirely.
+    /// needs — the cached artifact for cacheable plans, the sampler for
+    /// sampled ones. Every later scenario of the run reuses the result
+    /// via [`PreparedQuery::share`], skipping the `O(|D|)` cache-key
+    /// hash entirely.
     fn begin_run(&mut self, query: &Arc<Resolved>, tid: &Tid, plan: Plan) -> PreparedQuery {
-        let mut task = self.new_task(query, plan, tid);
+        let mut prepared = self.new_prepared(query, plan, tid);
         if plan.is_cacheable() {
             let key = Self::resolved_cache_key(query, tid.database());
             let artifact = match self.cache.get(&key) {
                 Some(artifact) => {
-                    task.cache_hit = true;
+                    prepared.cache_hit = true;
                     artifact
                 }
                 None => {
                     let started = Instant::now();
                     let compiled = Self::compile_artifact(plan, query, tid);
-                    task.compile_time = started.elapsed();
+                    prepared.compile_time = started.elapsed();
                     let (artifact, evicted) = self.cache.insert(key, compiled);
                     self.stats.cache_evictions += evicted;
                     artifact
                 }
             };
-            task.size = Some(artifact.size());
-            task.artifact = Some(artifact);
-        } else if plan == Plan::Extensional {
-            let phi = query.as_h().expect("extensional plans are H-only").phi();
-            task.lattice = Some(self.extensional_lattice(phi));
+            prepared.size = Some(artifact.size());
+            prepared.artifact = Some(artifact);
         }
-        PreparedQuery {
-            task,
-            memo_hit: false,
-        }
+        prepared
     }
 
     /// Prepares `(q, tid)` for pure `&self` evaluation, compiling (and
-    /// caching) the artifact or building the lattice memo when the key
-    /// is cold — the **write path** of the serve layer's locking
-    /// contract (`DESIGN.md` §10): hold the engine exclusively for this
-    /// call, then evaluate the returned [`PreparedQuery`] outside any
-    /// lock. Cache-hit/miss attribution lands in the preparation and is
-    /// recorded at evaluation time; [`evaluate`](Self::evaluate) is
-    /// exactly this plus one evaluation.
+    /// caching) the artifact when the key is cold — the **write path**
+    /// of the serve layer's locking contract (`DESIGN.md` §10): hold the
+    /// engine exclusively for this call, then evaluate the returned
+    /// [`PreparedQuery`] outside any lock. Cache-hit/miss attribution
+    /// lands in the preparation and is recorded at evaluation time;
+    /// [`evaluate`](Self::evaluate) is exactly this plus one evaluation.
     pub fn prepare(
         &mut self,
         q: impl Into<Query>,
@@ -1631,18 +1524,18 @@ impl PqeEngine {
     }
 
     /// The read path of the serve layer's locking contract: plans
-    /// `(q, tid)` and probes the artifact cache / lattice memo
-    /// **without mutating anything** — no compile, no LRU recency bump
-    /// (probes use [`ArtifactCache::peek`]-style reads, so concurrent
-    /// readers never contend on eviction order). Returns:
+    /// `(q, tid)` and probes the artifact cache **without mutating
+    /// anything** — no compile, no LRU recency bump (probes use
+    /// [`ArtifactCache::peek`]-style reads, so concurrent readers never
+    /// contend on eviction order). Returns:
     ///
     /// * `Ok(Some(_))` — the preparation is complete: a cached artifact
-    ///   was resident (accounted as a cache hit), the lattice was
-    ///   memoized, or the plan needs no shared state at all
-    ///   ([`Plan::BruteForce`], [`Plan::Lifted`] — lifted inference is
-    ///   a pure function of the query structure — and [`Plan::Sample`],
-    ///   whose sampler grounding is a deterministic pure function,
-    ///   rebuilt here exactly as [`prepare`](Self::prepare) builds it).
+    ///   was resident (accounted as a cache hit), or the plan needs no
+    ///   shared state at all ([`Plan::BruteForce`], [`Plan::Lifted`] —
+    ///   lifted inference is a pure function of the query structure —
+    ///   and [`Plan::Sample`], whose sampler grounding is a
+    ///   deterministic pure function, rebuilt here exactly as
+    ///   [`prepare`](Self::prepare) builds it).
     /// * `Ok(None)` — the key is cold; escalate to
     ///   [`prepare`](Self::prepare) under exclusive access. A
     ///   double-checked re-probe is free: `prepare` re-probes the cache
@@ -1657,25 +1550,17 @@ impl PqeEngine {
         let q = q.into();
         let resolved = Arc::new(Self::resolve(&q, tid.database().k())?);
         let plan = self.plan_resolved(&resolved, tid)?;
-        let mut task = self.new_task(&resolved, plan, tid);
-        let mut memo_hit = false;
+        let mut prepared = self.new_prepared(&resolved, plan, tid);
         if plan.is_cacheable() {
             let key = Self::resolved_cache_key(&resolved, tid.database());
             let Some(artifact) = self.cache.peek(&key) else {
                 return Ok(None);
             };
-            task.cache_hit = true;
-            task.size = Some(artifact.size());
-            task.artifact = Some(Arc::clone(artifact));
-        } else if plan == Plan::Extensional {
-            let phi = resolved.as_h().expect("extensional plans are H-only").phi();
-            let Some(lat) = self.lattices.get(phi) else {
-                return Ok(None);
-            };
-            task.lattice = Some(Arc::clone(lat));
-            memo_hit = true;
+            prepared.cache_hit = true;
+            prepared.size = Some(artifact.size());
+            prepared.artifact = Some(Arc::clone(artifact));
         }
-        Ok(Some(PreparedQuery { task, memo_hit }))
+        Ok(Some(prepared))
     }
 
     /// The shared front half of every batch: splits `scenarios` into
@@ -1683,7 +1568,7 @@ impl PqeEngine {
     /// prepares each one ([`begin_run`](Self::begin_run)). Planning is
     /// pure and happens strictly first, so an unsound scenario anywhere
     /// in the batch fails before *any* state — cache contents, eviction
-    /// counters, memo entries, stats — has been touched: every batch is
+    /// counters, stats — has been touched: every batch is
     /// all-or-nothing, observably. Preparation then visits the run
     /// heads in batch order, so hit/miss/eviction counters come out as
     /// a scenario-by-scenario loop would report them.
@@ -1861,8 +1746,8 @@ impl PqeEngine {
         let out = walk_runs(scenarios, &runs, &prepared, shards, &mut self.stats, walk);
         let mut batch = BatchPlan::new(scenarios.len(), shard_count(scenarios.len(), shards).0);
         for (run, head) in runs.iter().zip(&prepared) {
-            let compiled = head.task.artifact.is_some() && !head.task.cache_hit;
-            batch.add_run(run.len(), head.task.plan, compiled);
+            let compiled = head.artifact.is_some() && !head.cache_hit;
+            batch.add_run(run.len(), head.plan, compiled);
         }
         self.stats.last_batch = Some(batch);
         Ok(out)
@@ -2058,22 +1943,6 @@ mod tests {
             Err(EngineError::Intractable { budget: 20, .. })
         ));
         assert!(engine.evaluate(&q, &big).is_err());
-    }
-
-    #[test]
-    fn prefer_extensional_routes_monotone_safe_queries() {
-        let mut engine = PqeEngine::with_config(EngineConfig {
-            prefer_extensional: true,
-            ..EngineConfig::default()
-        });
-        let q = HQuery::new(phi9());
-        let tid = uniform_tid(complete_database(3, 1), half());
-        assert_eq!(engine.plan(&q, &tid), Ok(Plan::Extensional));
-        let p = engine.evaluate(&q, &tid).unwrap();
-        assert_eq!(p, pqe_brute_force(&q, &tid).unwrap());
-        // Nothing cacheable was produced.
-        assert_eq!(engine.cache_len(), 0);
-        assert_eq!(engine.stats().extensional_plans, 1);
     }
 
     #[test]
@@ -2327,46 +2196,6 @@ mod tests {
         );
         assert_eq!(batch.stats().lane_kernel_calls, 0);
         assert_eq!(batch.stats().brute_force_plans, 2);
-    }
-
-    #[test]
-    fn extensional_lattice_memo_counts_hits_across_all_paths() {
-        let mut engine = PqeEngine::with_config(EngineConfig {
-            prefer_extensional: true,
-            ..EngineConfig::default()
-        });
-        let q = HQuery::new(phi9());
-        let tid = uniform_tid(complete_database(3, 1), half());
-
-        // First evaluation builds the lattice; the second reuses it.
-        let p1 = engine.evaluate(&q, &tid).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, 0);
-        assert_eq!(engine.lattice_memo_len(), 1);
-        let p2 = engine.evaluate(&q, &tid).unwrap();
-        assert_eq!(p1, p2, "memoized lattice must not change the answer");
-        assert_eq!(engine.stats().extensional_memo_hits, 1);
-
-        // Batches count one hit per reuse, exactly like the loop would.
-        let scenarios = vec![tid.clone(), tid.clone(), tid.clone()];
-        engine.evaluate_batch(&q, &scenarios).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, 4);
-        engine.evaluate_batch_sharded(&q, &scenarios, 2).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, 7);
-        engine.evaluate_batch_f64(&q, &scenarios).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, 10);
-        assert_eq!(engine.lattice_memo_len(), 1, "one φ, one lattice");
-
-        // The memo answers match brute force (the lattice is per-φ).
-        let brute = pqe_brute_force(&q, &tid).unwrap();
-        assert_eq!(p1, brute);
-
-        // clear_cache drops the memo too; the next call rebuilds.
-        engine.clear_cache();
-        assert_eq!(engine.lattice_memo_len(), 0);
-        let hits = engine.stats().extensional_memo_hits;
-        engine.evaluate(&q, &tid).unwrap();
-        assert_eq!(engine.stats().extensional_memo_hits, hits);
-        assert_eq!(engine.lattice_memo_len(), 1);
     }
 
     #[test]
@@ -2683,13 +2512,13 @@ mod tests {
     fn builder_round_trips_every_knob_and_validates() {
         let cfg = EngineConfig::builder()
             .max_brute_force_tuples(12)
-            .prefer_extensional(true)
+            .sampling(SamplingConfig::default())
             .cache_gate_budget(Some(1000))
             .max_ground_tuples(10)
             .build()
             .unwrap();
         assert_eq!(cfg.max_brute_force_tuples, 12);
-        assert!(cfg.prefer_extensional);
+        assert_eq!(cfg.sampling, Some(SamplingConfig::default()));
         assert_eq!(cfg.cache_gate_budget, Some(1000));
         assert_eq!(cfg.max_ground_tuples, 10);
         let bad = EngineConfig::builder()

@@ -1,10 +1,11 @@
-//! The unified PQE front door: one planner over the workspace's seven
+//! The unified PQE front door: one planner over the workspace's six
 //! evaluation backends, with compiled-lineage caching.
 //!
-//! The repo implements seven routes for probabilistic query evaluation —
-//! brute-force possible-worlds enumeration, Dalvi–Suciu lifted
-//! inference over `φ`'s CNF lattice, the degenerate-`φ` OBDD of
-//! Proposition 3.7, the zero-Euler d-D pipeline of Theorem 5.2, a
+//! The engine routes probabilistic query evaluation six ways —
+//! brute-force possible-worlds enumeration, the degenerate-`φ` OBDD of
+//! Proposition 3.7, the zero-Euler d-D pipeline of Theorem 5.2 (which
+//! also evaluates every nondegenerate safe monotone `φ`, Corollary
+//! 3.9), a
 //! Monte-Carlo anytime backend ([`Plan::Sample`]) for hard instances
 //! beyond the brute-force budget, and — behind the UCQ front door — a
 //! structural lifted plan ([`Plan::Lifted`]) for Dalvi–Suciu-safe
@@ -42,9 +43,7 @@
 //!    kernel**: each block of up to [`intext_circuits::LANES`]
 //!    scenarios is one forward pass over the shared artifact with zero
 //!    steady-state allocations — still bit-identical to the scalar
-//!    walk. Repeated [`Plan::Extensional`] queries reuse a per-`φ` memo
-//!    of the CNF lattice + Möbius values instead of rebuilding them.
-//!    Hard scenarios in a mixed batch route through the Monte-Carlo
+//!    walk. Hard scenarios in a mixed batch route through the Monte-Carlo
 //!    sampler with RNG streams derived from `(seed, global scenario
 //!    index)`, so sharded sampling is bit-identical to sequential.
 //! 4. **Observe** — every call records [`QueryStats`] (plan, cache
@@ -55,9 +54,8 @@
 //!    `EngineStats::compile_nanos` (building circuits, derived from
 //!    `compile_time`) vs
 //!    `EngineStats::walk_nanos` (walking them), with
-//!    `EngineStats::lane_kernel_calls` and
-//!    `EngineStats::extensional_memo_hits` counting the two
-//!    amortizations.
+//!    `EngineStats::lane_kernel_calls` counting the lane kernel's
+//!    amortization.
 //!
 //! The hard region — previously a dead end past
 //! [`EngineConfig::max_brute_force_tuples`] — gets an *anytime* story:

@@ -9,7 +9,7 @@ use crate::{EngineError, SamplerKind};
 /// The backend the planner chose for a query.
 ///
 /// The plans correspond to the evaluation routes the workspace
-/// implements — the five Figure 1 routes for H-queries plus the two
+/// implements — the four Figure 1 routes for H-queries plus the two
 /// general-query routes behind the UCQ front door; see `DESIGN.md`
 /// for the routing diagram and the exact precedence rules.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -21,11 +21,6 @@ pub enum Plan {
     /// transformation, fragmentation, leaf OBDDs, template replay
     /// (Theorem 5.2). Cacheable.
     DdCircuit,
-    /// Monotone safe `φ` under
-    /// [`EngineConfig::prefer_extensional`](crate::EngineConfig):
-    /// Dalvi–Suciu lifted inference with Möbius inversion. Produces no
-    /// reusable artifact, so every call recomputes from the lattice.
-    Extensional,
     /// `#P`-hard (or conjectured-hard) `φ` on an instance small enough
     /// for exhaustive possible-worlds enumeration.
     BruteForce,
@@ -56,7 +51,6 @@ impl fmt::Display for Plan {
         match self {
             Plan::Obdd => write!(f, "OBDD (Proposition 3.7)"),
             Plan::DdCircuit => write!(f, "d-D pipeline (Theorem 5.2)"),
-            Plan::Extensional => write!(f, "extensional lifted inference (Proposition 3.5)"),
             Plan::BruteForce => write!(f, "brute force over possible worlds"),
             Plan::Sample(kind) => write!(f, "Monte-Carlo sampling ({kind})"),
             Plan::Lifted => write!(f, "lifted inference (Dalvi-Suciu safe plan)"),
@@ -191,7 +185,6 @@ mod tests {
     fn cacheability_per_plan() {
         assert!(Plan::Obdd.is_cacheable());
         assert!(Plan::DdCircuit.is_cacheable());
-        assert!(!Plan::Extensional.is_cacheable());
         assert!(!Plan::BruteForce.is_cacheable());
         assert!(!Plan::Sample(SamplerKind::KarpLuby).is_cacheable());
         assert!(!Plan::Sample(SamplerKind::NaiveWorlds).is_cacheable());

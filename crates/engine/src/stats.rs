@@ -61,8 +61,6 @@ pub struct EngineStats {
     pub obdd_plans: u64,
     /// Queries routed to [`Plan::DdCircuit`].
     pub dd_plans: u64,
-    /// Queries routed to [`Plan::Extensional`].
-    pub extensional_plans: u64,
     /// Queries routed to [`Plan::BruteForce`].
     pub brute_force_plans: u64,
     /// Queries routed to [`Plan::Sample`] (either sampler).
@@ -77,12 +75,6 @@ pub struct EngineStats {
     /// Nanoseconds spent inside the samplers (the sampling share of
     /// [`eval_time`](Self::eval_time)).
     pub sample_nanos: u64,
-    /// Queries whose [`Plan::Extensional`] evaluation reused the
-    /// engine's memoized CNF lattice + Möbius values for `φ` instead of
-    /// rebuilding them. The first extensional evaluation of each distinct
-    /// `φ` builds the lattice (not a hit); every later one — sequential,
-    /// batched, or sharded — is a hit.
-    pub extensional_memo_hits: u64,
     /// Invocations of the lane-batched evaluation kernel: each call
     /// walks one compiled artifact once for a block of up to
     /// `intext_circuits::LANES` scenarios. `queries` per kernel call is
@@ -96,8 +88,8 @@ pub struct EngineStats {
     /// parallelism.
     pub eval_time: Duration,
     /// Nanoseconds spent *walking* compiled artifacts (scalar walks and
-    /// lane-kernel calls alike; excludes extensional and brute-force
-    /// evaluation, which walk nothing). `walk_nanos / queries` falling as
+    /// lane-kernel calls alike; excludes brute-force, lifted and sampled
+    /// evaluation, which walk no cached artifact). `walk_nanos / queries` falling as
     /// batches grow is the lane kernel's win made observable; its
     /// counterpart [`compile_nanos`](Self::compile_nanos) is derived
     /// from [`compile_time`](Self::compile_time).
@@ -246,8 +238,6 @@ pub struct RouteLatency {
     pub obdd: LatencyHistogram,
     /// Latencies of queries routed to [`Plan::DdCircuit`].
     pub dd: LatencyHistogram,
-    /// Latencies of queries routed to [`Plan::Extensional`].
-    pub extensional: LatencyHistogram,
     /// Latencies of queries routed to [`Plan::BruteForce`].
     pub brute_force: LatencyHistogram,
     /// Latencies of queries routed to [`Plan::Sample`] (either sampler).
@@ -264,7 +254,6 @@ impl RouteLatency {
         match plan {
             Plan::Obdd => &self.obdd,
             Plan::DdCircuit => &self.dd,
-            Plan::Extensional => &self.extensional,
             Plan::BruteForce => &self.brute_force,
             Plan::Sample(_) => &self.sample,
             Plan::Lifted => &self.lifted,
@@ -276,7 +265,6 @@ impl RouteLatency {
         match plan {
             Plan::Obdd => &mut self.obdd,
             Plan::DdCircuit => &mut self.dd,
-            Plan::Extensional => &mut self.extensional,
             Plan::BruteForce => &mut self.brute_force,
             Plan::Sample(_) => &mut self.sample,
             Plan::Lifted => &mut self.lifted,
@@ -289,7 +277,6 @@ impl RouteLatency {
     pub fn total_count(&self) -> u64 {
         self.obdd.count()
             + self.dd.count()
-            + self.extensional.count()
             + self.brute_force.count()
             + self.sample.count()
             + self.lifted.count()
@@ -300,7 +287,6 @@ impl RouteLatency {
     pub fn merge(&mut self, other: &RouteLatency) {
         self.obdd.merge(&other.obdd);
         self.dd.merge(&other.dd);
-        self.extensional.merge(&other.extensional);
         self.brute_force.merge(&other.brute_force);
         self.sample.merge(&other.sample);
         self.lifted.merge(&other.lifted);
@@ -318,7 +304,6 @@ impl EngineStats {
         match q.plan {
             Plan::Obdd => self.obdd_plans += 1,
             Plan::DdCircuit => self.dd_plans += 1,
-            Plan::Extensional => self.extensional_plans += 1,
             Plan::BruteForce => self.brute_force_plans += 1,
             Plan::Sample(_) => {
                 self.sample_plans += 1;
@@ -366,14 +351,12 @@ impl EngineStats {
         self.artifact_loads += other.artifact_loads;
         self.obdd_plans += other.obdd_plans;
         self.dd_plans += other.dd_plans;
-        self.extensional_plans += other.extensional_plans;
         self.brute_force_plans += other.brute_force_plans;
         self.sample_plans += other.sample_plans;
         self.lifted_plans += other.lifted_plans;
         self.ground_plans += other.ground_plans;
         self.samples_drawn += other.samples_drawn;
         self.sample_nanos += other.sample_nanos;
-        self.extensional_memo_hits += other.extensional_memo_hits;
         self.lane_kernel_calls += other.lane_kernel_calls;
         self.compile_time += other.compile_time;
         self.eval_time += other.eval_time;
@@ -404,18 +387,17 @@ impl fmt::Display for EngineStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} queries (obdd {}, d-D {}, extensional {}, brute {}, sampled {}, \
+            "{} queries (obdd {}, d-D {}, brute {}, sampled {}, \
              lifted {}, ground {}); \
              cache {} hits / {} misses / {} evictions / {} loads; \
              compile {:?} ({} ns), walk {} ns over {} lane-kernel call(s), \
-             eval {:?}; {} extensional memo hit(s); \
+             eval {:?}; \
              {} sample(s) drawn over {} ns; \
              {} patch(es) over {} ns avoiding {} recompile(s); \
              {} WAL record(s) replayed, {} quarantine(s), {} poisoning(s) recovered",
             self.queries,
             self.obdd_plans,
             self.dd_plans,
-            self.extensional_plans,
             self.brute_force_plans,
             self.sample_plans,
             self.lifted_plans,
@@ -429,7 +411,6 @@ impl fmt::Display for EngineStats {
             self.walk_nanos,
             self.lane_kernel_calls,
             self.eval_time,
-            self.extensional_memo_hits,
             self.samples_drawn,
             self.sample_nanos,
             self.patches_applied,
@@ -518,10 +499,9 @@ mod tests {
         a.lane_kernel_calls = 3;
         let mut b = EngineStats::default();
         b.record(q(Plan::Obdd, true));
-        b.record(q(Plan::Extensional, false));
+        b.record(q(Plan::BruteForce, false));
         b.cache_evictions = 1;
         b.lane_kernel_calls = 4;
-        b.extensional_memo_hits = 1;
         a.patches_applied = 2;
         a.patch_nanos = 500;
         a.full_recompiles_avoided = 5;
@@ -535,7 +515,7 @@ mod tests {
         assert_eq!(merged.queries, 3);
         assert_eq!(merged.dd_plans, 1);
         assert_eq!(merged.obdd_plans, 1);
-        assert_eq!(merged.extensional_plans, 1);
+        assert_eq!(merged.brute_force_plans, 1);
         assert_eq!(merged.cache_hits, 1);
         assert_eq!(merged.cache_misses, 1);
         assert_eq!(merged.cache_evictions, 3);
@@ -544,7 +524,6 @@ mod tests {
         assert_eq!(merged.compile_nanos(), 15_000);
         assert_eq!(merged.walk_nanos, 2_000, "the two cacheable walks");
         assert_eq!(merged.lane_kernel_calls, 7);
-        assert_eq!(merged.extensional_memo_hits, 1);
         assert_eq!(merged.patches_applied, 3);
         assert_eq!(merged.patch_nanos, 750);
         assert_eq!(merged.full_recompiles_avoided, 6);
@@ -558,7 +537,7 @@ mod tests {
         assert!(matches!(
             merged.last,
             Some(QueryStats {
-                plan: Plan::Extensional,
+                plan: Plan::BruteForce,
                 ..
             })
         ));
@@ -639,7 +618,7 @@ mod tests {
     fn histograms_merge_additively_bucket_by_bucket() {
         let mut a = EngineStats::default();
         a.record(q(Plan::Obdd, false));
-        a.record(q(Plan::Extensional, false));
+        a.record(q(Plan::BruteForce, false));
         let mut b = EngineStats::default();
         b.record(q(Plan::Obdd, true));
         b.record(QueryStats {
@@ -651,7 +630,7 @@ mod tests {
         merged.merge(&a);
         merged.merge(&b);
         assert_eq!(merged.route_latency.obdd.count(), 3);
-        assert_eq!(merged.route_latency.extensional.count(), 1);
+        assert_eq!(merged.route_latency.brute_force.count(), 1);
         assert_eq!(merged.route_latency.total_count(), merged.queries);
         // Bucket-wise: the two 6 µs obdd walks sit together, the 3 ms
         // outlier alone, regardless of merge grouping.

@@ -23,8 +23,5 @@
 mod lifted;
 mod safety;
 
-pub use lifted::{
-    neg_h_probability, pqe_extensional, pqe_extensional_f64, pqe_extensional_with_lattice,
-    ExtensionalError,
-};
+pub use lifted::{neg_h_probability, pqe_extensional, pqe_extensional_f64, ExtensionalError};
 pub use safety::{is_safe, is_safe_euler, SafetyError};

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use intext_lattice::{cnf_lattice, QueryLattice};
+use intext_lattice::cnf_lattice;
 use intext_numeric::BigRational;
 use intext_query::HQuery;
 use intext_tid::{Tid, TupleDesc};
@@ -180,36 +180,7 @@ pub fn pqe_extensional(q: &HQuery, tid: &Tid) -> Result<BigRational, Extensional
         // Short-circuit before building a lattice: ⊥ holds nowhere.
         return Ok(BigRational::zero());
     }
-    pqe_extensional_with_lattice(q, tid, &cnf_lattice(phi))
-}
-
-/// [`pqe_extensional`] with a caller-supplied CNF lattice.
-///
-/// The lattice and its Möbius values depend **only on `φ`** — not on the
-/// database, not on the probabilities — so a caller evaluating the same
-/// query over many TIDs (the `PqeEngine`'s extensional memo, a scenario
-/// batch) computes [`cnf_lattice`] once and re-runs only the per-TID
-/// `N(d)` closed forms here. `lat` must be `cnf_lattice(q.phi())`; the
-/// per-call safety check (`µ` at the hard bottom must vanish) still runs
-/// against whatever lattice is supplied.
-pub fn pqe_extensional_with_lattice(
-    q: &HQuery,
-    tid: &Tid,
-    lat: &QueryLattice,
-) -> Result<BigRational, ExtensionalError> {
-    let phi = q.phi();
-    if !phi.is_monotone() {
-        return Err(ExtensionalError::NotMonotone);
-    }
-    if tid.database().k() != q.k() {
-        return Err(ExtensionalError::VocabularyMismatch {
-            expected: q.k(),
-            got: tid.database().k(),
-        });
-    }
-    if phi.is_bottom() {
-        return Ok(BigRational::zero());
-    }
+    let lat = cnf_lattice(phi);
     let full = (1u32 << phi.num_vars()) - 1;
     let mut acc = BigRational::zero();
     for (idx, &d) in lat.elements.iter().enumerate() {

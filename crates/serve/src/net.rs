@@ -107,37 +107,15 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF at a frame boundary (the
-/// peer hung up between requests), `Err` on a torn frame or an
-/// oversized length prefix.
+/// peer hung up between requests), `Err` on a torn frame
+/// (`UnexpectedEof`) or an oversized length prefix (`InvalidData`).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    // Read the first byte by hand to tell clean EOF (0 bytes at a
-    // boundary) from a frame truncated mid-prefix.
-    let mut got = 0;
-    while got < len_bytes.len() {
-        match r.read(&mut len_bytes[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    read_frame_bytes(r).map_err(|e| match e {
+        FrameReadError::TooLarge(len) => {
+            io::Error::new(io::ErrorKind::InvalidData, WireError::FrameTooLarge(len))
         }
-    }
-    let len = u32::from_le_bytes(len_bytes);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            wire::WireError::FrameTooLarge(len),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
+        FrameReadError::Io { error, .. } => error,
+    })
 }
 
 /// The client-side frame read: like [`read_frame`], but a disconnect
@@ -146,50 +124,62 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
 /// bytes of the frame had landed — the signal [`RemoteClient`] uses to
 /// decide a redial-and-resend is safe.
 fn read_frame_counted<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, ClientError> {
-    let mut len_bytes = [0u8; 4];
-    let mut got = 0;
-    while got < len_bytes.len() {
-        match r.read(&mut len_bytes[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(ClientError::Wire(WireError::ConnectionLost {
-                    bytes_read: got,
-                }))
-            }
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_disconnect(&e) => {
-                return Err(ClientError::Wire(WireError::ConnectionLost {
-                    bytes_read: got,
-                }))
-            }
-            Err(e) => return Err(ClientError::Io(e)),
+    read_frame_bytes(r).map_err(|e| match e {
+        FrameReadError::TooLarge(len) => ClientError::Wire(WireError::FrameTooLarge(len)),
+        FrameReadError::Io { bytes_read, error } if is_disconnect(&error) => {
+            ClientError::Wire(WireError::ConnectionLost { bytes_read })
         }
+        FrameReadError::Io { error, .. } => ClientError::Io(error),
+    })
+}
+
+/// Why [`read_frame_bytes`] stopped short of a whole frame.
+enum FrameReadError {
+    /// The length prefix exceeds [`MAX_FRAME_LEN`].
+    TooLarge(u32),
+    /// The transport failed after `bytes_read` bytes of the frame had
+    /// landed; EOF mid-frame is `UnexpectedEof`.
+    Io { bytes_read: usize, error: io::Error },
+}
+
+/// The one length-prefix reader behind [`read_frame`] and
+/// [`read_frame_counted`]: `Ok(None)` on clean EOF at a frame boundary.
+fn read_frame_bytes<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameReadError> {
+    let mut len_bytes = [0u8; 4];
+    if !fill(r, &mut len_bytes, 0)? {
+        return Ok(None);
     }
     let len = u32::from_le_bytes(len_bytes);
     if len > MAX_FRAME_LEN {
-        return Err(ClientError::Wire(WireError::FrameTooLarge(len)));
+        return Err(FrameReadError::TooLarge(len));
     }
     let mut payload = vec![0u8; len as usize];
-    let mut read = 0;
-    while read < payload.len() {
-        match r.read(&mut payload[read..]) {
-            Ok(0) => {
-                return Err(ClientError::Wire(WireError::ConnectionLost {
-                    bytes_read: len_bytes.len() + read,
-                }))
-            }
-            Ok(n) => read += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) if is_disconnect(&e) => {
-                return Err(ClientError::Wire(WireError::ConnectionLost {
-                    bytes_read: len_bytes.len() + read,
-                }))
-            }
-            Err(e) => return Err(ClientError::Io(e)),
-        }
-    }
+    fill(r, &mut payload, len_bytes.len())?;
     Ok(Some(payload))
+}
+
+/// Fills `buf` with the frame's bytes from `offset` on, retrying short
+/// and interrupted reads. `Ok(false)` only when EOF arrives before the
+/// frame's first byte — a clean hang-up, as opposed to a torn frame.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8], offset: usize) -> Result<bool, FrameReadError> {
+    let mut got = 0;
+    while got < buf.len() {
+        let error = match r.read(&mut buf[got..]) {
+            Ok(0) if offset + got == 0 => return Ok(false),
+            Ok(0) => io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed mid-frame"),
+            Ok(n) => {
+                got += n;
+                continue;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => e,
+        };
+        return Err(FrameReadError::Io {
+            bytes_read: offset + got,
+            error,
+        });
+    }
+    Ok(true)
 }
 
 /// Serves one connection until the peer hangs up: decode a request,

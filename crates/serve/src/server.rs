@@ -416,12 +416,16 @@ impl Server {
         }
     }
 
-    /// One batch over the shared engine: prepare each same-shape run's
-    /// head ([`SharedEngine::prepare`]: read-locked probe, write-locked
-    /// compile only when cold), then hand the runs to the engine's one
-    /// batch driver, [`walk_runs`] — the same driver the engine's own
-    /// batch paths call, so answers, per-scenario stats and lane-kernel
-    /// block boundaries match theirs at the same `shards`.
+    /// One batch over the shared engine: plan every same-shape run's
+    /// head under one read lock ([`PqeEngine::plan`], pure), then
+    /// prepare each head ([`SharedEngine::prepare`]: read-locked probe,
+    /// write-locked compile only when cold), then hand the runs to the
+    /// engine's one batch driver, [`walk_runs`] — the same driver the
+    /// engine's own batch paths call, so answers, per-scenario stats and
+    /// lane-kernel block boundaries match theirs at the same `shards`.
+    /// Planning first makes the batch all-or-nothing like the engine's:
+    /// a scenario without a sound plan anywhere in the batch fails it
+    /// before any head compiles or evicts.
     fn eval_batch<T: Send>(
         engine: &SharedEngine,
         q: &Query,
@@ -432,6 +436,10 @@ impl Server {
             + Sync,
     ) -> Result<Vec<T>, ServeError> {
         let runs = same_shape_runs(tids);
+        engine.with_engine(|e| {
+            runs.iter()
+                .try_for_each(|run| e.plan(q, &tids[run.start]).map(drop))
+        })?;
         let prepared = runs
             .iter()
             .map(|run| engine.prepare(q, &tids[run.start]))
@@ -584,7 +592,7 @@ impl ServeHandle {
     }
 
     /// Server totals: the engine's write-path counters (compiles,
-    /// evictions, memo builds) merged with every worker's evaluation
+    /// evictions) merged with every worker's evaluation
     /// counters, plus the lock-poisoning recoveries
     /// ([`EngineStats::lock_poisonings_recovered`]). For a quiesced
     /// server fed the same requests, the count fields equal a

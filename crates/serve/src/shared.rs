@@ -1,7 +1,7 @@
 //! The sharded read-write layer around one [`PqeEngine`].
 //!
 //! The locking contract (`DESIGN.md` §10): the hot path — planning a
-//! query and probing the artifact cache / lattice memo — takes the
+//! query and probing the artifact cache — takes the
 //! **read** lock ([`PqeEngine::prepare_shared`], which never mutates,
 //! never bumps LRU recency), and the returned [`PreparedQuery`] is
 //! evaluated entirely **outside** any lock, as a pure walk over
@@ -117,8 +117,8 @@ impl SharedEngine {
         self.write().apply_delta(bytes)
     }
 
-    /// A clone of the engine's own stats (compiles, evictions,
-    /// memo-builds — the write-path counters). The serve layer merges
+    /// A clone of the engine's own stats (compiles, evictions — the
+    /// write-path counters). The serve layer merges
     /// worker-local evaluation stats on top; see
     /// [`ServeHandle::stats`](crate::ServeHandle::stats).
     pub fn engine_stats(&self) -> EngineStats {

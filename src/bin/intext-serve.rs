@@ -195,12 +195,11 @@ fn demo(server: &Server) -> Result<(), String> {
 
     let stats = handle.stats();
     println!(
-        "stats    : {} queries ({} obdd / {} d-D / {} extensional / {} brute / {} sampled), \
+        "stats    : {} queries ({} obdd / {} d-D / {} brute / {} sampled), \
          {} cache hits / {} misses",
         stats.queries,
         stats.obdd_plans,
         stats.dd_plans,
-        stats.extensional_plans,
         stats.brute_force_plans,
         stats.sample_plans,
         stats.cache_hits,

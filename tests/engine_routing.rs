@@ -2,12 +2,13 @@
 //!
 //! * every Figure 1 region maps to a sound plan (or an explicit refusal),
 //! * the engine's answer equals brute force for **all** `φ` with `k ≤ 2`
-//!   on randomized small TIDs, across all four backends,
+//!   on randomized small TIDs, and for every safe monotone `φ` with
+//!   `k ≤ 3`, across all three Figure 1 backends,
 //! * cache hits return bit-identical `BigRational`s and never recompile.
 
 use intext::boolfn::{max_euler_fn, phi9, phi_no_pm, threshold_fn, BoolFn};
 use intext::core::{classify, Region};
-use intext::engine::{EngineConfig, EngineError, Plan, PqeEngine};
+use intext::engine::{EngineError, Plan, PqeEngine};
 use intext::numeric::BigRational;
 use intext::query::{pqe_brute_force, HQuery};
 use intext::tid::{
@@ -84,31 +85,6 @@ fn named_functions_route_per_figure_1() {
     }
 }
 
-/// The fourth backend: `prefer_extensional` sends monotone safe
-/// nondegenerate queries through lifted inference, leaving degenerate
-/// ones on the (cheaper, cacheable) OBDD route.
-#[test]
-fn prefer_extensional_covers_the_fourth_backend() {
-    let mut engine = PqeEngine::with_config(EngineConfig {
-        prefer_extensional: true,
-        ..EngineConfig::default()
-    });
-    let tid = uniform_tid(complete_database(3, 1), half());
-    let q9 = HQuery::new(phi9());
-    assert_eq!(engine.plan(&q9, &tid), Ok(Plan::Extensional));
-    // Non-monotone zero-Euler functions cannot go extensional.
-    let tid4 = uniform_tid(complete_database(4, 1), half());
-    let qpm = HQuery::new(phi_no_pm());
-    assert_eq!(engine.plan(&qpm, &tid4), Ok(Plan::DdCircuit));
-    // Degenerate stays OBDD even with the preference on.
-    let qdeg = HQuery::new(BoolFn::var(4, 0));
-    assert_eq!(engine.plan(&qdeg, &tid), Ok(Plan::Obdd));
-    // And the extensional result matches ground truth.
-    let p = engine.evaluate(&q9, &tid).unwrap();
-    assert_eq!(p, pqe_brute_force(&q9, &tid).unwrap());
-    assert_eq!(engine.stats().extensional_plans, 1);
-}
-
 /// (b) The engine equals brute force for **every** Boolean function with
 /// `k ≤ 2` on randomized small TIDs — the planner may pick any backend,
 /// the answer must not depend on it.
@@ -146,13 +122,15 @@ fn engine_matches_brute_force_for_all_small_phi() {
     }
 }
 
-/// (b) continued, for the fourth backend: under `prefer_extensional`,
-/// every *safe monotone* function with `k ≤ 3` goes through lifted
-/// inference (nondegenerate ones) or the OBDD (degenerate ones), and
-/// still equals brute force — so a classify/safety divergence would
-/// surface here rather than as a panic in production.
+/// (b) continued, one region deeper: every monotone `φ` with
+/// `e(φ) = 0` and `k ≤ 3` — exactly the safe `H⁺` UCQs (Corollary 3.9)
+/// — goes through the OBDD (degenerate ones) or the d-D pipeline
+/// (nondegenerate ones) under the default config, and still equals
+/// brute force: the d-D evaluates them without inclusion–exclusion, so
+/// a classify/safety divergence would surface here rather than as a
+/// panic in production.
 #[test]
-fn extensional_backend_matches_brute_force_for_all_monotone_small_phi() {
+fn every_safe_monotone_phi_up_to_k3_matches_brute_force() {
     let mut rng = StdRng::seed_from_u64(4040);
     for k in 1..=3u8 {
         let db = random_database(
@@ -165,15 +143,12 @@ fn extensional_backend_matches_brute_force_for_all_monotone_small_phi() {
             &mut rng,
         );
         let tid = random_tid(db, 5, &mut rng);
-        let mut engine = PqeEngine::with_config(EngineConfig {
-            prefer_extensional: true,
-            ..EngineConfig::default()
-        });
+        let mut engine = PqeEngine::new();
         let n = k + 1;
         for table in intext::boolfn::enumerate::monotone_tables(n) {
             let phi = BoolFn::from_table_u64(n, table);
             if phi.euler_characteristic() != 0 {
-                continue; // hard monotone: not extensional-eligible
+                continue; // hard monotone: not safe
             }
             let q = HQuery::new(phi);
             let via_engine = engine.evaluate(&q, &tid).unwrap();
@@ -181,10 +156,10 @@ fn extensional_backend_matches_brute_force_for_all_monotone_small_phi() {
             assert_eq!(via_engine, via_brute, "k={k}, table {table:#x}");
         }
         // Every safe monotone function at k ≤ 2 is degenerate (φ9 at
-        // k = 3 is the first needing Möbius), so lifted inference only
-        // fires from k = 3 on.
+        // k = 3 is the first that is not), so the d-D route only fires
+        // from k = 3 on.
         if k >= 3 {
-            assert!(engine.stats().extensional_plans > 0, "k={k}");
+            assert!(engine.stats().dd_plans > 0, "k={k}");
         }
     }
 }

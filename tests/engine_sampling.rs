@@ -64,7 +64,7 @@ fn is_hard(region: Region) -> bool {
 /// (wall-clock durations legitimately differ between runs, and lane
 /// kernel calls from *circuit walks* depend on chunk boundaries — but
 /// `samples_drawn` must not).
-fn counters(s: &EngineStats) -> [u64; 10] {
+fn counters(s: &EngineStats) -> [u64; 9] {
     [
         s.queries,
         s.cache_hits,
@@ -72,7 +72,6 @@ fn counters(s: &EngineStats) -> [u64; 10] {
         s.cache_evictions,
         s.obdd_plans,
         s.dd_plans,
-        s.extensional_plans,
         s.brute_force_plans,
         s.sample_plans,
         s.samples_drawn,

@@ -15,10 +15,9 @@
 //!
 //! * the headline sweep runs **all 272 Boolean functions with
 //!   `k ≤ 2`** (16 on two variables, 256 on three) through concurrent
-//!   clients, exact and f64, under two configs that together cover
-//!   every route — OBDD, d-D, extensional, brute force, and seeded
-//!   Monte-Carlo sampling — and diffs both answers and stats against a
-//!   sequential engine;
+//!   clients, exact and f64, under a config that covers every route —
+//!   OBDD, d-D, brute force, and seeded Monte-Carlo sampling — and
+//!   diffs both answers and stats against a sequential engine;
 //! * batch and sharded-batch requests diff against the engine's own
 //!   batch paths (including lane-kernel call counts: the server walks
 //!   its batches through the engine's own batch driver);
@@ -49,11 +48,11 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use intext_boolfn::BoolFn;
-use intext_engine::{EngineConfig, EngineStats, Plan, PqeEngine, SamplingConfig};
+use intext_engine::{EngineConfig, EngineError, EngineStats, Plan, PqeEngine, SamplingConfig};
 use intext_numeric::BigRational;
-use intext_query::HQuery;
+use intext_query::{HQuery, Query};
 use intext_serve::{listen_tcp, RemoteClient, Request, Response, ServeConfig, ServeError, Server};
-use intext_tid::{Database, Tid, TupleDesc};
+use intext_tid::{complete_database, uniform_tid, Database, Tid, TupleDesc};
 
 /// Instance-size cap shared with `tests/engine_incremental.rs`: at most
 /// `2^7` possible worlds keeps full-corpus sweeps fast in debug builds.
@@ -156,10 +155,6 @@ fn assert_counts_equal(server: &EngineStats, seq: &EngineStats, context: &str) {
     assert_eq!(server.obdd_plans, seq.obdd_plans, "{context}: obdd_plans");
     assert_eq!(server.dd_plans, seq.dd_plans, "{context}: dd_plans");
     assert_eq!(
-        server.extensional_plans, seq.extensional_plans,
-        "{context}: extensional_plans"
-    );
-    assert_eq!(
         server.brute_force_plans, seq.brute_force_plans,
         "{context}: brute_force_plans"
     );
@@ -170,10 +165,6 @@ fn assert_counts_equal(server: &EngineStats, seq: &EngineStats, context: &str) {
     assert_eq!(
         server.samples_drawn, seq.samples_drawn,
         "{context}: samples_drawn"
-    );
-    assert_eq!(
-        server.extensional_memo_hits, seq.extensional_memo_hits,
-        "{context}: extensional_memo_hits"
     );
     assert_eq!(
         server.lane_kernel_calls, seq.lane_kernel_calls,
@@ -189,11 +180,6 @@ fn assert_counts_equal(server: &EngineStats, seq: &EngineStats, context: &str) {
     for (route, s, q) in [
         ("obdd", &server.route_latency.obdd, &seq.route_latency.obdd),
         ("dd", &server.route_latency.dd, &seq.route_latency.dd),
-        (
-            "extensional",
-            &server.route_latency.extensional,
-            &seq.route_latency.extensional,
-        ),
         (
             "brute_force",
             &server.route_latency.brute_force,
@@ -227,155 +213,123 @@ fn circuit_config() -> EngineConfig {
     }
 }
 
-/// The extensional-leaning config: safe monotone functions go through
-/// lifted inference (exercising the lattice memo + its read-path
-/// probes) instead of the d-D pipeline.
-fn extensional_config() -> EngineConfig {
-    EngineConfig {
-        prefer_extensional: true,
-        ..circuit_config()
-    }
-}
-
 /// The headline differential: all 272 `k ≤ 2` functions, exact and
 /// f64, pushed through [`CLIENTS`] concurrent clients of one server —
 /// answers bit-identical to a sequential engine fed the same multiset,
-/// merged stats equal on every count field, under both route-coverage
-/// configs.
+/// merged stats equal on every count field.
 #[test]
 fn concurrent_clients_match_sequential_engine_for_all_k2_functions() {
-    for (config_name, config) in [
-        ("circuit", circuit_config()),
-        ("extensional", extensional_config()),
-    ] {
-        let mut coverage = EngineStats::default();
-        for k in 1u8..=2 {
-            let mut state = common::BASE_SEED ^ (u64::from(k) << 32);
-            // k = 1 stays under the 4-tuple brute-force budget (hard φ
-            // brute-forced); k = 2 sits above it (hard φ sampled).
-            let n = if k == 1 { 3 } else { TUPLE_CAP };
-            let tid = sized_tid(&mut state, k, 2, n);
-            let fns = all_functions(k);
+    let config = circuit_config();
+    let mut coverage = EngineStats::default();
+    for k in 1u8..=2 {
+        let mut state = common::BASE_SEED ^ (u64::from(k) << 32);
+        // k = 1 stays under the 4-tuple brute-force budget (hard φ
+        // brute-forced); k = 2 sits above it (hard φ sampled).
+        let n = if k == 1 { 3 } else { TUPLE_CAP };
+        let tid = sized_tid(&mut state, k, 2, n);
+        let fns = all_functions(k);
 
-            // Sequential oracle: same config, same requests, one thread.
-            let mut seq = PqeEngine::with_config(config);
-            let expected: Vec<(BigRational, u64)> = fns
-                .iter()
-                .map(|phi| {
-                    let q = HQuery::new(phi.clone());
-                    let exact = seq.evaluate(&q, &tid).unwrap();
-                    let bits = seq.evaluate_f64(&q, &tid).unwrap().to_bits();
-                    (exact, bits)
-                })
-                .collect();
-            let seq_stats = seq.stats().clone();
-
-            // Concurrent server: CLIENTS threads split the functions
-            // round-robin, each asking exact + f64.
-            let server = Server::start(ServeConfig {
-                engine: config,
-                workers: CLIENTS,
-                queue_capacity: 64,
-                ..ServeConfig::default()
+        // Sequential oracle: same config, same requests, one thread.
+        let mut seq = PqeEngine::with_config(config);
+        let expected: Vec<(BigRational, u64)> = fns
+            .iter()
+            .map(|phi| {
+                let q = HQuery::new(phi.clone());
+                let exact = seq.evaluate(&q, &tid).unwrap();
+                let bits = seq.evaluate_f64(&q, &tid).unwrap().to_bits();
+                (exact, bits)
             })
-            .unwrap();
-            let handle = server.handle();
-            thread::scope(|scope| {
-                for client in 0..CLIENTS {
-                    let handle = handle.clone();
-                    let (fns, expected, tid) = (&fns, &expected, &tid);
-                    scope.spawn(move || {
-                        for (i, phi) in fns.iter().enumerate().skip(client).step_by(CLIENTS) {
-                            let q = HQuery::new(phi.clone());
-                            let exact = handle.evaluate(&q, tid).unwrap();
-                            assert_eq!(
-                                exact,
-                                expected[i].0,
-                                "{config_name} k={k} φ table {:#x}: exact answer diverged",
-                                phi.table_u64()
-                            );
-                            let bits = handle.evaluate_f64(&q, tid).unwrap().to_bits();
-                            assert_eq!(
-                                bits,
-                                expected[i].1,
-                                "{config_name} k={k} φ table {:#x}: f64 bits diverged",
-                                phi.table_u64()
-                            );
-                        }
-                    });
-                }
-            });
-            let stats = server.shutdown();
-            assert_counts_equal(&stats, &seq_stats, &format!("{config_name} k={k}"));
-            assert_eq!(stats.queries, 2 * fns.len() as u64);
-            coverage.merge(&stats);
-        }
-        // No `k ≤ 2` function is both monotone and zero-Euler (the
-        // smallest, φ9, needs k = 3), so `prefer_extensional` gets a
-        // dedicated φ9 pass: repeated concurrent evaluations prove the
-        // lattice memo's read-path probe accounting (1 build, N − 1
-        // memo hits) matches a sequential engine.
-        if config_name == "extensional" {
-            let mut state = common::BASE_SEED ^ 0xE87;
-            let tid = sized_tid(&mut state, 3, 2, TUPLE_CAP);
-            let q = HQuery::new(intext_boolfn::phi9());
-            const REPS: usize = 8;
+            .collect();
+        let seq_stats = seq.stats().clone();
 
-            let mut seq = PqeEngine::with_config(config);
-            let exact = seq.evaluate(&q, &tid).unwrap();
-            let bits = seq.evaluate_f64(&q, &tid).unwrap().to_bits();
-            for _ in 1..CLIENTS * REPS {
-                assert_eq!(seq.evaluate(&q, &tid).unwrap(), exact);
-                assert_eq!(seq.evaluate_f64(&q, &tid).unwrap().to_bits(), bits);
+        // Concurrent server: CLIENTS threads split the functions
+        // round-robin, each asking exact + f64.
+        let server = Server::start(ServeConfig {
+            engine: config,
+            workers: CLIENTS,
+            queue_capacity: 64,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let handle = server.handle();
+        thread::scope(|scope| {
+            for client in 0..CLIENTS {
+                let handle = handle.clone();
+                let (fns, expected, tid) = (&fns, &expected, &tid);
+                scope.spawn(move || {
+                    for (i, phi) in fns.iter().enumerate().skip(client).step_by(CLIENTS) {
+                        let q = HQuery::new(phi.clone());
+                        let exact = handle.evaluate(&q, tid).unwrap();
+                        assert_eq!(
+                            exact,
+                            expected[i].0,
+                            "k={k} φ table {:#x}: exact answer diverged",
+                            phi.table_u64()
+                        );
+                        let bits = handle.evaluate_f64(&q, tid).unwrap().to_bits();
+                        assert_eq!(
+                            bits,
+                            expected[i].1,
+                            "k={k} φ table {:#x}: f64 bits diverged",
+                            phi.table_u64()
+                        );
+                    }
+                });
             }
-            let seq_stats = seq.stats().clone();
+        });
+        let stats = server.shutdown();
+        assert_counts_equal(&stats, &seq_stats, &format!("k={k}"));
+        assert_eq!(stats.queries, 2 * fns.len() as u64);
+        coverage.merge(&stats);
+    }
 
-            let server = Server::start(ServeConfig {
-                engine: config,
-                workers: CLIENTS,
-                ..ServeConfig::default()
-            })
-            .unwrap();
-            let handle = server.handle();
-            thread::scope(|scope| {
-                for _ in 0..CLIENTS {
-                    let handle = handle.clone();
-                    let (q, tid, exact) = (&q, &tid, &exact);
-                    scope.spawn(move || {
-                        for _ in 0..REPS {
-                            assert_eq!(&handle.evaluate(q, tid).unwrap(), exact);
-                            assert_eq!(handle.evaluate_f64(q, tid).unwrap().to_bits(), bits);
-                        }
-                    });
+    // No `k ≤ 2` function is both monotone and zero-Euler (the
+    // smallest, φ9, needs k = 3), so the safe `H⁺` queries get a
+    // dedicated φ9 pass: repeated concurrent evaluations prove the d-D
+    // route's read-path hit accounting (1 compile, N − 1 cache hits)
+    // matches a sequential engine.
+    let mut state = common::BASE_SEED ^ 0xE87;
+    let tid = sized_tid(&mut state, 3, 2, TUPLE_CAP);
+    let q = HQuery::new(intext_boolfn::phi9());
+    const REPS: usize = 8;
+
+    let mut seq = PqeEngine::with_config(config);
+    let exact = seq.evaluate(&q, &tid).unwrap();
+    let bits = seq.evaluate_f64(&q, &tid).unwrap().to_bits();
+    for _ in 1..CLIENTS * REPS {
+        assert_eq!(seq.evaluate(&q, &tid).unwrap(), exact);
+        assert_eq!(seq.evaluate_f64(&q, &tid).unwrap().to_bits(), bits);
+    }
+    let seq_stats = seq.stats().clone();
+
+    let server = Server::start(ServeConfig {
+        engine: config,
+        workers: CLIENTS,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let handle = server.handle();
+    thread::scope(|scope| {
+        for _ in 0..CLIENTS {
+            let handle = handle.clone();
+            let (q, tid, exact) = (&q, &tid, &exact);
+            scope.spawn(move || {
+                for _ in 0..REPS {
+                    assert_eq!(&handle.evaluate(q, tid).unwrap(), exact);
+                    assert_eq!(handle.evaluate_f64(q, tid).unwrap().to_bits(), bits);
                 }
             });
-            let stats = server.shutdown();
-            assert_counts_equal(&stats, &seq_stats, "extensional φ9");
-            coverage.merge(&stats);
         }
+    });
+    let stats = server.shutdown();
+    assert_counts_equal(&stats, &seq_stats, "φ9");
+    coverage.merge(&stats);
 
-        // The sweep must actually have exercised the mixed routes.
-        assert!(coverage.obdd_plans > 0, "{config_name}: no OBDD route");
-        assert!(
-            coverage.brute_force_plans > 0,
-            "{config_name}: no brute-force route"
-        );
-        assert!(coverage.sample_plans > 0, "{config_name}: no sampled route");
-        assert!(
-            coverage.dd_plans > 0,
-            "{config_name}: never took the d-D route"
-        );
-        if config_name == "extensional" {
-            assert!(
-                coverage.extensional_plans > 0,
-                "extensional config never took lifted inference"
-            );
-            assert!(
-                coverage.extensional_memo_hits > 0,
-                "repeated φ9 evaluations never hit the lattice memo"
-            );
-        }
-    }
+    // The sweep must actually have exercised the mixed routes.
+    assert!(coverage.obdd_plans > 0, "no OBDD route");
+    assert!(coverage.brute_force_plans > 0, "no brute-force route");
+    assert!(coverage.sample_plans > 0, "no sampled route");
+    assert!(coverage.dd_plans > 0, "never took the d-D route");
 }
 
 /// Batches: a mixed-shape scenario workload served concurrently (one
@@ -456,6 +410,67 @@ fn concurrent_batches_match_the_engines_batch_paths() {
             stats.lane_kernel_calls > 0,
             "sharded f64 skipped the lane kernel"
         );
+    }
+}
+
+/// A server batch is all-or-nothing like the engine's own batches
+/// (`sharded_batch_error_touches_no_state` in the engine's unit tests):
+/// a scenario without a sound plan anywhere in the batch fails it
+/// before any run head compiles, so nothing is cached, evicted or
+/// counted — under a budget where any compile would also evict, and
+/// without one.
+#[test]
+fn failing_server_batches_touch_no_state() {
+    let q = Query::from(HQuery::new(intext_boolfn::phi9()));
+    let half = BigRational::from_ratio(1, 2);
+    // φ9 compiles a d-D on the k = 3 head; the k = 2 scenario mismatches.
+    let tids = vec![
+        uniform_tid(complete_database(3, 1), half.clone()),
+        uniform_tid(complete_database(2, 2), half),
+    ];
+    for budget in [Some(1), None] {
+        let requests = [
+            (
+                "Batch",
+                Request::Batch {
+                    q: q.clone(),
+                    tids: tids.clone(),
+                },
+            ),
+            (
+                "BatchF64",
+                Request::BatchF64 {
+                    q: q.clone(),
+                    tids: tids.clone(),
+                    shards: 2,
+                },
+            ),
+        ];
+        for (name, request) in requests {
+            let context = format!("{name} at budget {budget:?}");
+            let server = Server::start(ServeConfig {
+                engine: EngineConfig {
+                    cache_gate_budget: budget,
+                    ..EngineConfig::default()
+                },
+                ..ServeConfig::default()
+            })
+            .unwrap();
+            let handle = server.handle();
+            let err = handle.request(request).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Engine(EngineError::VocabularyMismatch { .. })
+                ),
+                "{context}: {err:?}"
+            );
+            assert_eq!(handle.engine().cache_len(), 0, "{context}: cache_len");
+            let stats = handle.stats();
+            assert_eq!(stats.cache_evictions, 0, "{context}: cache_evictions");
+            assert_eq!(stats.queries, 0, "{context}: queries");
+            server.shutdown();
+        }
     }
 }
 

@@ -43,7 +43,7 @@ fn reweighted_scenarios(base: &Tid, count: usize, rng: &mut StdRng) -> Vec<Tid> 
 
 /// The counter halves of two `EngineStats` (everything except wall-clock
 /// durations, which legitimately differ between runs).
-fn counters(s: &intext::engine::EngineStats) -> [u64; 8] {
+fn counters(s: &intext::engine::EngineStats) -> [u64; 7] {
     [
         s.queries,
         s.cache_hits,
@@ -51,7 +51,6 @@ fn counters(s: &intext::engine::EngineStats) -> [u64; 8] {
         s.cache_evictions,
         s.obdd_plans,
         s.dd_plans,
-        s.extensional_plans,
         s.brute_force_plans,
     ]
 }
