@@ -1,7 +1,6 @@
 //! The `PqeEngine`: plan, compile, cache, evaluate — sequentially or
 //! fanned across shard workers sharing one compiled circuit.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -24,9 +23,7 @@ use crate::cache::{Artifact, ArtifactCache, CacheKey};
 use crate::sample::{SampleRun, SamplerArtifact};
 use crate::stats::duration_nanos;
 use crate::store::{self, StoreError, TupleUpdate};
-use crate::{
-    BatchPlan, EngineStats, Estimate, Explanation, Plan, QueryStats, SamplerKind, SamplingConfig,
-};
+use crate::{EngineStats, Estimate, Explanation, Plan, QueryStats, SamplerKind, SamplingConfig};
 
 /// Largest grounded DNF (clause bound, pre-deduplication) the planner
 /// hands to the Karp–Luby sampler; beyond it the naive world sampler
@@ -89,74 +86,7 @@ impl Default for EngineConfig {
     }
 }
 
-/// Step-by-step construction of an [`EngineConfig`], ending in a
-/// validated [`EngineConfigBuilder::build`] — the typed-error
-/// counterpart of writing the struct literal and hoping
-/// [`PqeEngine::with_config`] does not panic.
-///
-/// ```
-/// use intext_engine::{EngineConfig, ConfigError};
-///
-/// let config = EngineConfig::builder()
-///     .max_brute_force_tuples(16)
-///     .cache_gate_budget(Some(4096))
-///     .build()
-///     .unwrap();
-/// assert_eq!(config.max_brute_force_tuples, 16);
-/// assert_eq!(config.cache_gate_budget, Some(4096));
-///
-/// let err = EngineConfig::builder().max_brute_force_tuples(64).build().unwrap_err();
-/// assert_eq!(err, ConfigError::BruteForceBudgetTooLarge { requested: 64 });
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EngineConfigBuilder {
-    config: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// Sets [`EngineConfig::max_brute_force_tuples`].
-    pub fn max_brute_force_tuples(mut self, tuples: usize) -> Self {
-        self.config.max_brute_force_tuples = tuples;
-        self
-    }
-
-    /// Sets [`EngineConfig::cache_gate_budget`].
-    pub fn cache_gate_budget(mut self, budget: Option<usize>) -> Self {
-        self.config.cache_gate_budget = budget;
-        self
-    }
-
-    /// Enables sampling with [`EngineConfig::sampling`]`= Some(sampling)`.
-    pub fn sampling(mut self, sampling: SamplingConfig) -> Self {
-        self.config.sampling = Some(sampling);
-        self
-    }
-
-    /// Sets [`EngineConfig::max_ground_tuples`].
-    pub fn max_ground_tuples(mut self, tuples: usize) -> Self {
-        self.config.max_ground_tuples = tuples;
-        self
-    }
-
-    /// Validates and returns the configuration; every invalid knob
-    /// combination is a typed [`ConfigError`], never a panic.
-    pub fn build(self) -> Result<EngineConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 impl EngineConfig {
-    /// Starts an [`EngineConfigBuilder`] from the defaults; chain the
-    /// setters and finish with the validating
-    /// [`build`](EngineConfigBuilder::build). The struct-literal style
-    /// (and [`PqeEngine::with_config`] /
-    /// [`PqeEngine::try_with_config`]) keeps working — the builder is
-    /// the path that can never construct an unvalidated config.
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder::default()
-    }
-
     /// Validates the configuration — the check
     /// [`PqeEngine::try_with_config`] runs before accepting it.
     ///
@@ -463,7 +393,6 @@ impl PreparedQuery {
             } else {
                 self.artifact.is_some()
             },
-            circuit_size: self.size,
             compile_time: if offset == 0 {
                 self.compile_time
             } else {
@@ -1612,15 +1541,7 @@ impl PqeEngine {
         q: impl Into<Query>,
         tids: &[Tid],
     ) -> Result<Vec<BigRational>, EngineError> {
-        let (runs, prepared) = self.prepare_runs(q.into(), tids)?;
-        Ok(walk_runs(
-            tids,
-            &runs,
-            &prepared,
-            1,
-            &mut self.stats,
-            PreparedQuery::eval_run_exact,
-        ))
+        self.run_batch(q.into(), tids, 1, PreparedQuery::eval_run_exact)
     }
 
     /// Floating-point [`evaluate_batch`](Self::evaluate_batch) through
@@ -1638,48 +1559,7 @@ impl PqeEngine {
         q: impl Into<Query>,
         tids: &[Tid],
     ) -> Result<Vec<f64>, EngineError> {
-        let (runs, prepared) = self.prepare_runs(q.into(), tids)?;
-        Ok(walk_runs(
-            tids,
-            &runs,
-            &prepared,
-            1,
-            &mut self.stats,
-            PreparedQuery::eval_run_f64,
-        ))
-    }
-
-    /// Dry-runs the sharded batch: how many workers would run, how many
-    /// scenarios would compile vs share an artifact — without compiling
-    /// or evaluating anything.
-    ///
-    /// The compile/share split assumes no evictions happen *during* the
-    /// batch (a dry run cannot know artifact sizes before compiling
-    /// them); with a tight budget and many distinct shapes the real
-    /// [`evaluate_batch_sharded`](Self::evaluate_batch_sharded) may
-    /// compile more.
-    pub fn plan_batch(
-        &self,
-        q: impl Into<Query>,
-        scenarios: &[Tid],
-        shards: usize,
-    ) -> Result<BatchPlan, EngineError> {
-        let mut batch = BatchPlan::new(scenarios.len(), shard_count(scenarios.len(), shards).0);
-        let Some(first) = scenarios.first() else {
-            return Ok(batch);
-        };
-        let resolved = Self::resolve(&q.into(), first.database().k())?;
-        let mut simulated: HashSet<CacheKey> = HashSet::new();
-        for run in same_shape_runs(scenarios) {
-            let tid = &scenarios[run.start];
-            let plan = self.plan_resolved(&resolved, tid)?;
-            let compiles = plan.is_cacheable() && {
-                let key = Self::resolved_cache_key(&resolved, tid.database());
-                !self.cache.contains(&key) && simulated.insert(key)
-            };
-            batch.add_run(run.len(), plan, compiles);
-        }
-        Ok(batch)
+        self.run_batch(q.into(), tids, 1, PreparedQuery::eval_run_f64)
     }
 
     /// [`evaluate_batch`](Self::evaluate_batch), fanned across `shards`
@@ -1698,9 +1578,8 @@ impl PqeEngine {
     ///    circuit, and each worker records into its own
     ///    [`EngineStats`] — no locks, no shared mutable state.
     /// 3. **Merge.** Per-shard stats fold into the engine's aggregate
-    ///    via [`EngineStats::merge`], in shard order, so the merged
-    ///    counters equal a sequential run's; the [`BatchPlan`] (shard
-    ///    count, compile/share split) lands in `EngineStats::last_batch`.
+    ///    via [`EngineStats::merge`]; every stat is a sum, so the
+    ///    merged counters equal a sequential run's.
     ///
     /// Fails up front if any scenario lacks a sound plan — on error
     /// *nothing* has happened yet: no compile, no cache mutation, no
@@ -1711,7 +1590,7 @@ impl PqeEngine {
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<Vec<BigRational>, EngineError> {
-        self.sharded(q.into(), scenarios, shards, PreparedQuery::eval_run_exact)
+        self.run_batch(q.into(), scenarios, shards, PreparedQuery::eval_run_exact)
     }
 
     /// Floating-point [`evaluate_batch_sharded`](Self::evaluate_batch_sharded),
@@ -1728,13 +1607,12 @@ impl PqeEngine {
         scenarios: &[Tid],
         shards: usize,
     ) -> Result<Vec<f64>, EngineError> {
-        self.sharded(q.into(), scenarios, shards, PreparedQuery::eval_run_f64)
+        self.run_batch(q.into(), scenarios, shards, PreparedQuery::eval_run_f64)
     }
 
-    /// Both sharded batches: [`prepare_runs`](Self::prepare_runs), then
-    /// [`walk_runs`], then the [`BatchPlan`] of what actually ran into
-    /// `EngineStats::last_batch`.
-    fn sharded<T: Send>(
+    /// Every batch: [`prepare_runs`](Self::prepare_runs), then
+    /// [`walk_runs`] over `shards` workers.
+    fn run_batch<T: Send>(
         &mut self,
         q: Query,
         scenarios: &[Tid],
@@ -1743,14 +1621,14 @@ impl PqeEngine {
             + Sync,
     ) -> Result<Vec<T>, EngineError> {
         let (runs, prepared) = self.prepare_runs(q, scenarios)?;
-        let out = walk_runs(scenarios, &runs, &prepared, shards, &mut self.stats, walk);
-        let mut batch = BatchPlan::new(scenarios.len(), shard_count(scenarios.len(), shards).0);
-        for (run, head) in runs.iter().zip(&prepared) {
-            let compiled = head.artifact.is_some() && !head.cache_hit;
-            batch.add_run(run.len(), head.plan, compiled);
-        }
-        self.stats.last_batch = Some(batch);
-        Ok(out)
+        Ok(walk_runs(
+            scenarios,
+            &runs,
+            &prepared,
+            shards,
+            &mut self.stats,
+            walk,
+        ))
     }
 }
 
@@ -1772,15 +1650,18 @@ mod tests {
         let tid = uniform_tid(complete_database(3, 1), half());
         assert_eq!(engine.plan(&q, &tid), Ok(Plan::DdCircuit));
         let p1 = engine.evaluate(&q, &tid).unwrap();
+        let compiled = engine.stats().compile_time;
         let p2 = engine.evaluate(&q, &tid).unwrap();
         assert_eq!(p1, p2);
         assert_eq!(engine.cache_len(), 1);
         assert_eq!(engine.stats().cache_misses, 1);
         assert_eq!(engine.stats().cache_hits, 1);
-        let last = engine.stats().last.unwrap();
-        assert!(last.cache_hit);
-        assert_eq!(last.compile_time, Duration::ZERO);
-        assert!(last.circuit_size.unwrap() > 0);
+        assert_eq!(
+            engine.stats().compile_time,
+            compiled,
+            "a hit compiles nothing"
+        );
+        assert!(engine.cache_gates() > 0);
     }
 
     #[test]
@@ -1806,7 +1687,7 @@ mod tests {
         let p = engine.evaluate(&q, &tid).unwrap();
         let brute = pqe_brute_force(&q, &tid).unwrap();
         assert_eq!(p, brute);
-        assert_eq!(engine.stats().obdd_plans, 1);
+        assert_eq!(engine.stats().plans(Plan::Obdd), 1);
     }
 
     #[test]
@@ -1897,7 +1778,7 @@ mod tests {
         let est = engine.estimate(&q, &tid).unwrap();
         assert_eq!(est.sampler, Some(SamplerKind::KarpLuby));
         assert!(est.samples > 0);
-        assert_eq!(engine.stats().sample_plans, 1);
+        assert_eq!(engine.stats().plans(Plan::Sample(SamplerKind::KarpLuby)), 1);
         assert_eq!(engine.stats().samples_drawn, est.samples);
         assert!(engine.stats().sample_nanos > 0);
         // Non-monotone hard φ on the same instance: no DNF, so the
@@ -1981,7 +1862,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batch_matches_sequential_and_records_batch_plan() {
+    fn sharded_batch_matches_sequential() {
         let q = HQuery::new(phi9());
         let base = uniform_tid(complete_database(3, 1), half());
         let scenarios: Vec<_> = (0..7u32)
@@ -1996,7 +1877,6 @@ mod tests {
         let expected = sequential.evaluate_batch(&q, &scenarios).unwrap();
         for shards in [1, 2, 3, 7, 99] {
             let mut engine = PqeEngine::new();
-            let planned = engine.plan_batch(&q, &scenarios, shards).unwrap();
             let probs = engine
                 .evaluate_batch_sharded(&q, &scenarios, shards)
                 .unwrap();
@@ -2004,13 +1884,25 @@ mod tests {
             assert_eq!(engine.stats().cache_misses, 1);
             assert_eq!(engine.stats().cache_hits, 6);
             assert_eq!(engine.stats().queries, 7);
-            let batch = engine.stats().last_batch.unwrap();
-            assert_eq!(batch, planned, "dry run must predict the execution");
-            assert_eq!(batch.scenarios, 7);
-            assert_eq!(batch.compiles, 1);
-            assert_eq!(batch.shared, 6);
-            assert!(batch.shards >= 1 && batch.shards <= 7.min(shards.max(1)));
         }
+    }
+
+    #[test]
+    fn shard_count_clamps_the_worker_count() {
+        assert_eq!(
+            shard_count(13, 1000).0,
+            13,
+            "never more workers than scenarios"
+        );
+        assert_eq!(shard_count(24, 4), (4, 6));
+        assert_eq!(shard_count(256, usize::MAX), (MAX_SHARDS, 4));
+        assert_eq!(shard_count(13, 0).0, 1, "zero shards means one");
+        for shards in [0, 1, 2, 4, 8, 13, 1000] {
+            let (workers, chunk) = shard_count(13, shards);
+            assert!((1..=13).contains(&workers), "{shards} shards");
+            assert!(workers * chunk >= 13 && (workers - 1) * chunk < 13);
+        }
+        assert_eq!(shard_count(0, 4), (0, 0));
     }
 
     #[test]
@@ -2029,7 +1921,8 @@ mod tests {
         assert_eq!(probs[0], pqe_brute_force(&hard, &scenarios[0]).unwrap());
         assert_eq!(probs, engine.evaluate_batch(&hard, &scenarios).unwrap());
         assert_eq!(engine.cache_len(), 0);
-        assert_eq!(engine.stats().last_batch.unwrap().compiles, 0);
+        assert_eq!(engine.stats().cache_misses, 0);
+        assert_eq!(engine.stats().plans(Plan::BruteForce), 4);
     }
 
     #[test]
@@ -2066,12 +1959,12 @@ mod tests {
                 "{name}"
             );
             // All-or-nothing, observably: no compiles, no evictions, no
-            // queries, no batch record.
+            // queries, no stat of any kind.
             assert_eq!(engine.stats().queries, 0, "{name}");
             assert_eq!(engine.stats().cache_misses, 0, "{name}");
             assert_eq!(engine.stats().cache_evictions, 0, "{name}");
             assert_eq!(engine.cache_len(), 0, "{name}");
-            assert!(engine.stats().last_batch.is_none(), "{name}");
+            assert_eq!(*engine.stats(), EngineStats::default(), "{name}");
         }
     }
 
@@ -2176,7 +2069,7 @@ mod tests {
             .collect();
         let mut lane = PqeEngine::new();
         assert_eq!(lane.evaluate_batch_f64(&deg, &scenarios).unwrap(), expected);
-        assert_eq!(lane.stats().obdd_plans, 11);
+        assert_eq!(lane.stats().plans(Plan::Obdd), 11);
         assert_eq!(lane.stats().lane_kernel_calls, 2);
 
         // Brute-force scenarios flow through the scalar fallback,
@@ -2195,7 +2088,7 @@ mod tests {
             expected
         );
         assert_eq!(batch.stats().lane_kernel_calls, 0);
-        assert_eq!(batch.stats().brute_force_plans, 2);
+        assert_eq!(batch.stats().plans(Plan::BruteForce), 2);
     }
 
     #[test]
@@ -2384,7 +2277,7 @@ mod tests {
         assert_eq!(p, ucq_brute_force(expr, &tid).unwrap());
         // Lifted plans produce no artifact and touch no cache.
         assert_eq!(engine.cache_len(), 0);
-        assert_eq!(engine.stats().lifted_plans, 1);
+        assert_eq!(engine.stats().plans(Plan::Lifted), 1);
         assert_eq!(engine.stats().queries, 1);
     }
 
@@ -2424,7 +2317,7 @@ mod tests {
         assert_eq!(engine.stats().cache_misses, 1);
         assert_eq!(engine.stats().cache_hits, 1);
         assert!(engine.explain(&q, &tid).cached);
-        assert_eq!(engine.stats().ground_plans, 2);
+        assert_eq!(engine.stats().plans(Plan::GroundCircuit), 2);
     }
 
     #[test]
@@ -2446,11 +2339,10 @@ mod tests {
 
     #[test]
     fn grounding_budget_is_enforced() {
-        let config = EngineConfig::builder()
-            .max_ground_tuples(4)
-            .build()
-            .unwrap();
-        let mut engine = PqeEngine::with_config(config);
+        let mut engine = PqeEngine::with_config(EngineConfig {
+            max_ground_tuples: 4,
+            ..EngineConfig::default()
+        });
         let q = Query::parse("R(x),S1(x,y),T(y)", &Vocabulary::h(1)).unwrap();
         let tid = k1_tid(); // 7 tuples > budget 4
         let expected = EngineError::GroundingTooLarge {
@@ -2509,28 +2401,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_round_trips_every_knob_and_validates() {
-        let cfg = EngineConfig::builder()
-            .max_brute_force_tuples(12)
-            .sampling(SamplingConfig::default())
-            .cache_gate_budget(Some(1000))
-            .max_ground_tuples(10)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.max_brute_force_tuples, 12);
-        assert_eq!(cfg.sampling, Some(SamplingConfig::default()));
-        assert_eq!(cfg.cache_gate_budget, Some(1000));
-        assert_eq!(cfg.max_ground_tuples, 10);
-        let bad = EngineConfig::builder()
-            .sampling(SamplingConfig {
-                eps: 0.0,
-                ..SamplingConfig::default()
-            })
-            .build();
-        assert_eq!(bad.unwrap_err(), ConfigError::InvalidEps { eps: 0.0 });
-    }
-
-    #[test]
     fn parsed_queries_flow_through_prepare_and_batches() {
         let mut engine = PqeEngine::new();
         let q = Query::parse("R(x),S1(x,y),T(y)", &Vocabulary::h(1)).unwrap();
@@ -2548,18 +2418,19 @@ mod tests {
         let tids = vec![tid.clone(), tid.clone(), tid.clone()];
         let batch = engine.evaluate_batch(&q, &tids).unwrap();
         assert!(batch.iter().all(|p| *p == expected));
-        let plan = engine.plan_batch(&q, &tids, 2).unwrap();
-        assert_eq!(plan.compiles, 0);
-        assert_eq!(plan.shared, 3);
+        let (hits, misses) = (engine.stats().cache_hits, engine.stats().cache_misses);
         let sharded = engine.evaluate_batch_sharded(&q, &tids, 2).unwrap();
         assert_eq!(sharded, batch);
+        // Every sharded walk re-used the cached circuit.
+        assert_eq!(engine.stats().cache_hits, hits + 3);
+        assert_eq!(engine.stats().cache_misses, misses);
         let f64s = engine.evaluate_batch_f64(&q, &tids).unwrap();
         let sharded_f64 = engine.evaluate_batch_sharded_f64(&q, &tids, 2).unwrap();
         assert_eq!(f64s, sharded_f64);
     }
 
     #[test]
-    fn lifted_plans_flow_through_batches_and_prepare() {
+    fn lifted_route_flows_through_batches_and_prepare() {
         let mut engine = PqeEngine::new();
         let q = Query::parse("S1(0,y),T(y)", &Vocabulary::h(1)).unwrap();
         let tid = k1_tid();

@@ -47,12 +47,13 @@
 //!    sampler with RNG streams derived from `(seed, global scenario
 //!    index)`, so sharded sampling is bit-identical to sequential.
 //! 4. **Observe** — every call records [`QueryStats`] (plan, cache
-//!    hit/miss, circuit size, wall time) into aggregate
-//!    [`EngineStats`]; per-shard stats fold back into one report via
-//!    [`EngineStats::merge`], and each sharded batch leaves its
-//!    [`BatchPlan`] in `EngineStats::last_batch`. Timing splits into
-//!    `EngineStats::compile_nanos` (building circuits, derived from
-//!    `compile_time`) vs
+//!    hit/miss, wall time, samples) into aggregate [`EngineStats`];
+//!    per-shard stats fold back into one report via
+//!    [`EngineStats::merge`]. Every stat is a sum, so the merged report
+//!    is the same in any merge order, and per-route query counts come
+//!    from the route latency histograms ([`EngineStats::plans`]).
+//!    Timing splits into `EngineStats::compile_nanos` (building
+//!    circuits, derived from `compile_time`) vs
 //!    `EngineStats::walk_nanos` (walking them), with
 //!    `EngineStats::lane_kernel_calls` counting the lane kernel's
 //!    amortization.
@@ -122,11 +123,11 @@ pub mod wal;
 
 pub use cache::{Artifact, ArtifactCache, CacheKey};
 pub use engine::{
-    same_shape_runs, walk_runs, ConfigError, EngineConfig, EngineConfigBuilder, EngineError,
-    LaneScratch, LoadReport, PqeEngine, PreparedQuery, MAX_SHARDS,
+    same_shape_runs, walk_runs, ConfigError, EngineConfig, EngineError, LaneScratch, LoadReport,
+    PqeEngine, PreparedQuery, MAX_SHARDS,
 };
 pub use intext_query::Query;
-pub use plan::{BatchPlan, Explanation, Plan};
+pub use plan::{Explanation, Plan};
 pub use recovery::{
     DurableDir, Quarantine, RecoveryReport, SnapshotSource, SNAPSHOT_FILE, SNAPSHOT_PREV_FILE,
     SNAPSHOT_TMP_FILE, WAL_FILE,

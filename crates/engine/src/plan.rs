@@ -59,69 +59,6 @@ impl fmt::Display for Plan {
     }
 }
 
-/// How one sharded batch call was (or would be) executed, from
-/// [`PqeEngine::plan_batch`](crate::PqeEngine::plan_batch); also
-/// recorded as `EngineStats::last_batch` by
-/// [`PqeEngine::evaluate_batch_sharded`](crate::PqeEngine::evaluate_batch_sharded).
-///
-/// The interesting invariant: `compiles + shared` counts every
-/// *cacheable* scenario exactly once, so `compiles` is the number of
-/// distinct artifacts the batch had to build and `shared` the number of
-/// pure re-walks the compile amortized over.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BatchPlan {
-    /// Scenarios in the workload.
-    pub scenarios: usize,
-    /// Worker threads the scenarios were fanned across (clamped to
-    /// `1..=min(scenarios, MAX_SHARDS)`, see
-    /// [`MAX_SHARDS`](crate::MAX_SHARDS)).
-    pub shards: usize,
-    /// Scenario evaluations that compiled a fresh artifact (cache
-    /// misses, including recompiles forced by eviction).
-    pub compiles: usize,
-    /// Scenario evaluations served by an already-shared artifact.
-    pub shared: usize,
-    /// Scenarios routed to the Monte-Carlo sampler ([`Plan::Sample`]) —
-    /// the compile/sample split a dry run reports for mixed hard/easy
-    /// workloads.
-    pub sampled: usize,
-}
-
-impl BatchPlan {
-    /// The plan of a batch of `scenarios` over `shards` workers, before
-    /// any run is counted.
-    pub(crate) fn new(scenarios: usize, shards: usize) -> Self {
-        BatchPlan {
-            scenarios,
-            shards,
-            compiles: 0,
-            shared: 0,
-            sampled: 0,
-        }
-    }
-
-    /// Counts one same-shape run of `len` scenarios routed to `plan`;
-    /// `compiles` says whether its head builds a fresh artifact.
-    pub(crate) fn add_run(&mut self, len: usize, plan: Plan, compiles: bool) {
-        if plan.is_cacheable() {
-            self.compiles += usize::from(compiles);
-            self.shared += len - usize::from(compiles);
-        } else if matches!(plan, Plan::Sample(_)) {
-            self.sampled += len;
-        }
-    }
-}
-
-impl fmt::Display for BatchPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} scenarios over {} shard(s): {} compile(s), {} shared walk(s), {} sampled",
-            self.scenarios, self.shards, self.compiles, self.shared, self.sampled
-        )
-    }
-}
-
 /// The planner's reasoning for one query, from
 /// [`PqeEngine::explain`](crate::PqeEngine::explain).
 #[derive(Clone, Debug)]
@@ -245,22 +182,6 @@ mod tests {
             ..e.clone()
         };
         assert!(cold.to_string().contains("cold"), "{cold}");
-    }
-
-    #[test]
-    fn batch_plan_renders_shards_and_amortization() {
-        let bp = BatchPlan {
-            scenarios: 1000,
-            shards: 4,
-            compiles: 1,
-            shared: 996,
-            sampled: 3,
-        };
-        let s = bp.to_string();
-        assert!(s.contains("4 shard(s)"), "{s}");
-        assert!(s.contains("1 compile(s)"), "{s}");
-        assert!(s.contains("996 shared"), "{s}");
-        assert!(s.contains("3 sampled"), "{s}");
     }
 
     #[test]

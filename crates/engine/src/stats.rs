@@ -5,12 +5,15 @@
 //! scenario locally (no shared counters, no locks on the hot path), and
 //! folds the shards back into the engine's aggregate with
 //! [`EngineStats::merge`] — so one report covers the whole batch exactly
-//! as if it had run sequentially.
+//! as if it had run sequentially. Every field is a sum (a counter, a
+//! duration, or a histogram's buckets), so merging is commutative and
+//! associative: the merged report does not depend on which worker
+//! finished first.
 
 use std::fmt;
 use std::time::Duration;
 
-use crate::{BatchPlan, Plan};
+use crate::{Plan, SamplerKind};
 
 /// What happened on one successful `evaluate` call.
 #[derive(Clone, Copy, Debug)]
@@ -20,9 +23,6 @@ pub struct QueryStats {
     /// Whether the compiled artifact came from the cache (always `false`
     /// for non-cacheable plans).
     pub cache_hit: bool,
-    /// Size of the compiled circuit (OBDD nodes or d-D gates), when the
-    /// plan is cacheable.
-    pub circuit_size: Option<usize>,
     /// Wall time spent compiling (zero on cache hits and on plans that
     /// compile nothing).
     pub compile_time: Duration,
@@ -34,7 +34,7 @@ pub struct QueryStats {
 
 /// Aggregate counters over the engine's lifetime (reset with
 /// [`PqeEngine::reset_stats`](crate::PqeEngine::reset_stats)).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Successful `evaluate` calls.
     pub queries: u64,
@@ -57,19 +57,6 @@ pub struct EngineStats {
     /// saved workload shows `artifact_loads == distinct shapes` and
     /// `cache_misses == 0`: every evaluation re-walks a loaded circuit.
     pub artifact_loads: u64,
-    /// Queries routed to [`Plan::Obdd`].
-    pub obdd_plans: u64,
-    /// Queries routed to [`Plan::DdCircuit`].
-    pub dd_plans: u64,
-    /// Queries routed to [`Plan::BruteForce`].
-    pub brute_force_plans: u64,
-    /// Queries routed to [`Plan::Sample`] (either sampler).
-    pub sample_plans: u64,
-    /// Queries routed to [`Plan::Lifted`] (safe general queries).
-    pub lifted_plans: u64,
-    /// Queries routed to [`Plan::GroundCircuit`] (unsafe general
-    /// queries within the grounding budget).
-    pub ground_plans: u64,
     /// Total Monte-Carlo samples drawn across all sampled queries.
     pub samples_drawn: u64,
     /// Nanoseconds spent inside the samplers (the sampling share of
@@ -128,22 +115,11 @@ pub struct EngineStats {
     pub lock_poisonings_recovered: u64,
     /// Per-route latency histograms: one [`LatencyHistogram`] per
     /// [`Plan`] route, fed one sample (`compile_time + eval_time`) per
-    /// recorded query. Merging adds bucket counts, so a server that
-    /// folds worker-local stats reports the same distribution a
-    /// sequential run of the same requests would.
+    /// recorded query, so each histogram's count is its route's query
+    /// count ([`plans`](Self::plans)). Merging adds bucket counts, so a
+    /// server that folds worker-local stats reports the same
+    /// distribution a sequential run of the same requests would.
     pub route_latency: RouteLatency,
-    /// The most recent query's record.
-    pub last: Option<QueryStats>,
-    /// The most recent sharded batch's plan, if any batch ran.
-    ///
-    /// **Overwrite semantics:** [`merge`](Self::merge) is last-writer-wins
-    /// here — `other.last_batch` replaces `self.last_batch` whenever it is
-    /// `Some`, and is kept otherwise. Callers merging shards (or server
-    /// workers) in submission order therefore end with the batch a
-    /// sequential run would have reported last; merging in any other
-    /// order makes `last_batch` (and `last`) order-dependent, while every
-    /// counter and histogram stays order-independent.
-    pub last_batch: Option<BatchPlan>,
 }
 
 /// Number of power-of-two buckets in a [`LatencyHistogram`]: bucket 39
@@ -231,66 +207,45 @@ impl LatencyHistogram {
 /// (`compile_time + eval_time`) is recorded under the route the planner
 /// chose, so a bounded cache shows up as the cacheable routes' tail
 /// (recompiles) and the hard region's cost stays separated from the
-/// polynomial engines.
+/// polynomial engines. Both [`Plan::Sample`] kinds share one route.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RouteLatency {
-    /// Latencies of queries routed to [`Plan::Obdd`].
-    pub obdd: LatencyHistogram,
-    /// Latencies of queries routed to [`Plan::DdCircuit`].
-    pub dd: LatencyHistogram,
-    /// Latencies of queries routed to [`Plan::BruteForce`].
-    pub brute_force: LatencyHistogram,
-    /// Latencies of queries routed to [`Plan::Sample`] (either sampler).
-    pub sample: LatencyHistogram,
-    /// Latencies of queries routed to [`Plan::Lifted`].
-    pub lifted: LatencyHistogram,
-    /// Latencies of queries routed to [`Plan::GroundCircuit`].
-    pub ground: LatencyHistogram,
+    routes: [LatencyHistogram; 6],
 }
 
 impl RouteLatency {
-    /// The histogram for `plan`'s route.
-    pub fn for_plan(&self, plan: Plan) -> &LatencyHistogram {
+    /// The slot of `plan`'s route in `routes`.
+    fn slot(plan: Plan) -> usize {
         match plan {
-            Plan::Obdd => &self.obdd,
-            Plan::DdCircuit => &self.dd,
-            Plan::BruteForce => &self.brute_force,
-            Plan::Sample(_) => &self.sample,
-            Plan::Lifted => &self.lifted,
-            Plan::GroundCircuit => &self.ground,
+            Plan::Obdd => 0,
+            Plan::DdCircuit => 1,
+            Plan::BruteForce => 2,
+            Plan::Sample(_) => 3,
+            Plan::Lifted => 4,
+            Plan::GroundCircuit => 5,
         }
     }
 
+    /// The histogram for `plan`'s route.
+    pub fn for_plan(&self, plan: Plan) -> &LatencyHistogram {
+        &self.routes[Self::slot(plan)]
+    }
+
     fn for_plan_mut(&mut self, plan: Plan) -> &mut LatencyHistogram {
-        match plan {
-            Plan::Obdd => &mut self.obdd,
-            Plan::DdCircuit => &mut self.dd,
-            Plan::BruteForce => &mut self.brute_force,
-            Plan::Sample(_) => &mut self.sample,
-            Plan::Lifted => &mut self.lifted,
-            Plan::GroundCircuit => &mut self.ground,
-        }
+        &mut self.routes[Self::slot(plan)]
     }
 
     /// Samples recorded across all routes; equals the recorder's
     /// `queries` counter, which the unit tests pin.
     pub fn total_count(&self) -> u64 {
-        self.obdd.count()
-            + self.dd.count()
-            + self.brute_force.count()
-            + self.sample.count()
-            + self.lifted.count()
-            + self.ground.count()
+        self.routes.iter().map(LatencyHistogram::count).sum()
     }
 
     /// Route-wise [`LatencyHistogram::merge`] (bucket-wise addition).
     pub fn merge(&mut self, other: &RouteLatency) {
-        self.obdd.merge(&other.obdd);
-        self.dd.merge(&other.dd);
-        self.brute_force.merge(&other.brute_force);
-        self.sample.merge(&other.sample);
-        self.lifted.merge(&other.lifted);
-        self.ground.merge(&other.ground);
+        for (mine, theirs) in self.routes.iter_mut().zip(&other.routes) {
+            mine.merge(theirs);
+        }
     }
 }
 
@@ -301,17 +256,9 @@ impl EngineStats {
     /// internally.
     pub fn record(&mut self, q: QueryStats) {
         self.queries += 1;
-        match q.plan {
-            Plan::Obdd => self.obdd_plans += 1,
-            Plan::DdCircuit => self.dd_plans += 1,
-            Plan::BruteForce => self.brute_force_plans += 1,
-            Plan::Sample(_) => {
-                self.sample_plans += 1;
-                self.samples_drawn += q.samples;
-                self.sample_nanos += duration_nanos(q.eval_time);
-            }
-            Plan::Lifted => self.lifted_plans += 1,
-            Plan::GroundCircuit => self.ground_plans += 1,
+        if let Plan::Sample(_) = q.plan {
+            self.samples_drawn += q.samples;
+            self.sample_nanos += duration_nanos(q.eval_time);
         }
         if q.plan.is_cacheable() {
             if q.cache_hit {
@@ -319,16 +266,20 @@ impl EngineStats {
             } else {
                 self.cache_misses += 1;
             }
+            self.walk_nanos += duration_nanos(q.eval_time);
         }
         self.compile_time += q.compile_time;
         self.eval_time += q.eval_time;
-        if q.plan.is_cacheable() {
-            self.walk_nanos += duration_nanos(q.eval_time);
-        }
         self.route_latency
             .for_plan_mut(q.plan)
             .record(q.compile_time + q.eval_time);
-        self.last = Some(q);
+    }
+
+    /// Queries routed to `plan`'s route (both [`Plan::Sample`] kinds
+    /// count together): the count of that route's latency histogram,
+    /// which [`record`](Self::record) feeds once per query.
+    pub fn plans(&self, plan: Plan) -> u64 {
+        self.route_latency.for_plan(plan).count()
     }
 
     /// [`compile_time`](Self::compile_time) in integer nanoseconds — the
@@ -339,22 +290,15 @@ impl EngineStats {
         duration_nanos(self.compile_time)
     }
 
-    /// Folds another `EngineStats` into this one: counters and durations
-    /// add, and `other`'s most-recent records win when present (callers
-    /// merge shards in order, so "most recent" stays the last scenario
-    /// of the last shard — the same query a sequential run would report).
+    /// Folds another `EngineStats` into this one: every counter,
+    /// duration and histogram bucket adds, so `a.merge(&b)` and
+    /// `b.merge(&a)` leave equal stats.
     pub fn merge(&mut self, other: &EngineStats) {
         self.queries += other.queries;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_evictions += other.cache_evictions;
         self.artifact_loads += other.artifact_loads;
-        self.obdd_plans += other.obdd_plans;
-        self.dd_plans += other.dd_plans;
-        self.brute_force_plans += other.brute_force_plans;
-        self.sample_plans += other.sample_plans;
-        self.lifted_plans += other.lifted_plans;
-        self.ground_plans += other.ground_plans;
         self.samples_drawn += other.samples_drawn;
         self.sample_nanos += other.sample_nanos;
         self.lane_kernel_calls += other.lane_kernel_calls;
@@ -368,12 +312,6 @@ impl EngineStats {
         self.recovery_quarantines += other.recovery_quarantines;
         self.lock_poisonings_recovered += other.lock_poisonings_recovered;
         self.route_latency.merge(&other.route_latency);
-        if other.last.is_some() {
-            self.last = other.last;
-        }
-        if other.last_batch.is_some() {
-            self.last_batch = other.last_batch;
-        }
     }
 }
 
@@ -396,12 +334,12 @@ impl fmt::Display for EngineStats {
              {} patch(es) over {} ns avoiding {} recompile(s); \
              {} WAL record(s) replayed, {} quarantine(s), {} poisoning(s) recovered",
             self.queries,
-            self.obdd_plans,
-            self.dd_plans,
-            self.brute_force_plans,
-            self.sample_plans,
-            self.lifted_plans,
-            self.ground_plans,
+            self.plans(Plan::Obdd),
+            self.plans(Plan::DdCircuit),
+            self.plans(Plan::BruteForce),
+            self.plans(Plan::Sample(SamplerKind::KarpLuby)),
+            self.plans(Plan::Lifted),
+            self.plans(Plan::GroundCircuit),
             self.cache_hits,
             self.cache_misses,
             self.cache_evictions,
@@ -433,7 +371,6 @@ mod tests {
         QueryStats {
             plan,
             cache_hit,
-            circuit_size: plan.is_cacheable().then_some(10),
             compile_time: Duration::from_micros(5),
             eval_time: Duration::from_micros(1),
             samples: 0,
@@ -441,13 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn sample_plans_thread_counts_and_time() {
+    fn sampled_queries_thread_counts_and_time() {
         let mut s = EngineStats::default();
         s.record(QueryStats {
             samples: 1234,
             ..q(Plan::Sample(SamplerKind::KarpLuby), false)
         });
-        assert_eq!(s.sample_plans, 1);
+        assert_eq!(s.plans(Plan::Sample(SamplerKind::NaiveWorlds)), 1);
         assert_eq!(s.samples_drawn, 1234);
         assert_eq!(s.sample_nanos, 1_000, "the sampler's eval_time share");
         // Sampled queries are neither cache traffic nor circuit walks.
@@ -457,7 +394,7 @@ mod tests {
         merged.merge(&s);
         merged.merge(&s);
         assert_eq!(merged.samples_drawn, 2468);
-        assert_eq!(merged.sample_plans, 2);
+        assert_eq!(merged.plans(Plan::Sample(SamplerKind::KarpLuby)), 2);
         assert!(merged.to_string().contains("2468 sample(s)"), "{merged}");
     }
 
@@ -469,9 +406,9 @@ mod tests {
         s.record(q(Plan::Obdd, false));
         s.record(q(Plan::BruteForce, false));
         assert_eq!(s.queries, 4);
-        assert_eq!(s.dd_plans, 2);
-        assert_eq!(s.obdd_plans, 1);
-        assert_eq!(s.brute_force_plans, 1);
+        assert_eq!(s.plans(Plan::DdCircuit), 2);
+        assert_eq!(s.plans(Plan::Obdd), 1);
+        assert_eq!(s.plans(Plan::BruteForce), 1);
         assert_eq!(s.cache_hits, 1);
         // The brute-force query counts as neither hit nor miss.
         assert_eq!(s.cache_misses, 2);
@@ -479,20 +416,13 @@ mod tests {
         assert_eq!(s.compile_nanos(), 20_000, "the nanos mirror compile_time");
         // Only the three cacheable-plan evaluations are circuit walks.
         assert_eq!(s.walk_nanos, 3_000);
-        assert!(matches!(
-            s.last,
-            Some(QueryStats {
-                cache_hit: false,
-                ..
-            })
-        ));
         let shown = s.to_string();
         assert!(shown.contains("4 queries"), "{shown}");
         assert!(shown.contains("evictions"), "{shown}");
     }
 
     #[test]
-    fn merge_is_addition_on_counters_and_last_writer_wins_on_records() {
+    fn merge_is_addition_on_every_field() {
         let mut a = EngineStats::default();
         a.record(q(Plan::DdCircuit, false));
         a.cache_evictions = 2;
@@ -513,9 +443,9 @@ mod tests {
         merged.merge(&a);
         merged.merge(&b);
         assert_eq!(merged.queries, 3);
-        assert_eq!(merged.dd_plans, 1);
-        assert_eq!(merged.obdd_plans, 1);
-        assert_eq!(merged.brute_force_plans, 1);
+        assert_eq!(merged.plans(Plan::DdCircuit), 1);
+        assert_eq!(merged.plans(Plan::Obdd), 1);
+        assert_eq!(merged.plans(Plan::BruteForce), 1);
         assert_eq!(merged.cache_hits, 1);
         assert_eq!(merged.cache_misses, 1);
         assert_eq!(merged.cache_evictions, 3);
@@ -533,19 +463,46 @@ mod tests {
                 .contains("3 patch(es) over 750 ns avoiding 6 recompile(s)"),
             "{merged}"
         );
-        // b recorded last; its final record is the merged `last`.
-        assert!(matches!(
-            merged.last,
-            Some(QueryStats {
-                plan: Plan::BruteForce,
-                ..
-            })
-        ));
         // Merging an empty stats object changes nothing.
-        let snapshot = merged.queries;
+        let snapshot = merged.clone();
         merged.merge(&EngineStats::default());
-        assert_eq!(merged.queries, snapshot);
-        assert!(merged.last.is_some());
+        assert_eq!(merged, snapshot);
+    }
+
+    #[test]
+    fn merge_is_commutative() {
+        let mut a = EngineStats::default();
+        a.record(q(Plan::DdCircuit, false));
+        a.record(q(Plan::Lifted, false));
+        a.record(QueryStats {
+            samples: 40,
+            ..q(Plan::Sample(SamplerKind::KarpLuby), false)
+        });
+        a.lane_kernel_calls = 2;
+        a.cache_evictions = 1;
+        let mut b = EngineStats::default();
+        b.record(q(Plan::Obdd, true));
+        b.record(q(Plan::GroundCircuit, false));
+        b.record(QueryStats {
+            eval_time: Duration::from_millis(2),
+            ..q(Plan::BruteForce, false)
+        });
+        b.record(QueryStats {
+            samples: 9,
+            ..q(Plan::Sample(SamplerKind::NaiveWorlds), false)
+        });
+        b.patches_applied = 3;
+        b.lock_poisonings_recovered = 1;
+
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab, ba);
+        assert_eq!(ab.queries, 7);
+        assert_eq!(ab.plans(Plan::Sample(SamplerKind::KarpLuby)), 2);
+        assert_eq!(ab.route_latency.total_count(), ab.queries);
+        assert_eq!(ab.to_string(), ba.to_string());
     }
 
     #[test]
@@ -554,19 +511,19 @@ mod tests {
         s.record(q(Plan::Lifted, false));
         s.record(q(Plan::GroundCircuit, false));
         s.record(q(Plan::GroundCircuit, true));
-        assert_eq!(s.lifted_plans, 1);
-        assert_eq!(s.ground_plans, 2);
+        assert_eq!(s.plans(Plan::Lifted), 1);
+        assert_eq!(s.plans(Plan::GroundCircuit), 2);
         // Ground circuits are cacheable artifacts; lifted runs are not.
         assert_eq!(s.cache_hits, 1);
         assert_eq!(s.cache_misses, 1);
-        assert_eq!(s.route_latency.lifted.count(), 1);
-        assert_eq!(s.route_latency.ground.count(), 2);
+        assert_eq!(s.route_latency.for_plan(Plan::Lifted).count(), 1);
+        assert_eq!(s.route_latency.for_plan(Plan::GroundCircuit).count(), 2);
         assert_eq!(s.route_latency.total_count(), s.queries);
         let mut merged = EngineStats::default();
         merged.merge(&s);
         merged.merge(&s);
-        assert_eq!(merged.lifted_plans, 2);
-        assert_eq!(merged.ground_plans, 4);
+        assert_eq!(merged.plans(Plan::Lifted), 2);
+        assert_eq!(merged.plans(Plan::GroundCircuit), 4);
         assert_eq!(merged.route_latency.total_count(), merged.queries);
         assert!(
             merged.to_string().contains("lifted 2, ground 4"),
@@ -604,14 +561,19 @@ mod tests {
             samples: 7,
             ..q(Plan::Sample(SamplerKind::NaiveWorlds), false)
         });
-        assert_eq!(s.route_latency.dd.count(), 2);
-        assert_eq!(s.route_latency.brute_force.count(), 1);
-        assert_eq!(s.route_latency.sample.count(), 1);
-        assert_eq!(s.route_latency.obdd.count(), 0);
+        let routes = &s.route_latency;
+        assert_eq!(routes.for_plan(Plan::DdCircuit).count(), 2);
+        assert_eq!(routes.for_plan(Plan::BruteForce).count(), 1);
+        // Both samplers share one route.
+        assert_eq!(
+            routes.for_plan(Plan::Sample(SamplerKind::KarpLuby)).count(),
+            1
+        );
+        assert_eq!(routes.for_plan(Plan::Obdd).count(), 0);
         // One sample per recorded query, no more, no less.
         assert_eq!(s.route_latency.total_count(), s.queries);
         // The sample is compile + eval: 5 µs + 1 µs = 6000 ns → [4096, 8192).
-        assert_eq!(s.route_latency.dd.buckets()[13], 2);
+        assert_eq!(routes.for_plan(Plan::DdCircuit).buckets()[13], 2);
     }
 
     #[test]
@@ -629,8 +591,8 @@ mod tests {
         let mut merged = EngineStats::default();
         merged.merge(&a);
         merged.merge(&b);
-        assert_eq!(merged.route_latency.obdd.count(), 3);
-        assert_eq!(merged.route_latency.brute_force.count(), 1);
+        assert_eq!(merged.plans(Plan::Obdd), 3);
+        assert_eq!(merged.plans(Plan::BruteForce), 1);
         assert_eq!(merged.route_latency.total_count(), merged.queries);
         // Bucket-wise: the two 6 µs obdd walks sit together, the 3 ms
         // outlier alone, regardless of merge grouping.
@@ -638,7 +600,7 @@ mod tests {
         expected.record_nanos(6_000);
         expected.record_nanos(6_000);
         expected.record_nanos(3_005_000);
-        assert_eq!(merged.route_latency.obdd, expected);
+        assert_eq!(*merged.route_latency.for_plan(Plan::Obdd), expected);
         // Merge order cannot change any histogram (pure addition).
         let mut reversed = EngineStats::default();
         reversed.merge(&b);

@@ -20,10 +20,10 @@
 //!
 //! A query where the recursion gets stuck (a connected, non-ground CQ
 //! with no workable separator) is *unsafe* and must be evaluated
-//! intensionally. [`is_safe_ucq`] runs the same recursion
-//! *symbolically*: instead of grounding a separator over the concrete
-//! domain, it substitutes one fresh marker constant **and** every
-//! constant already occurring in the CQ — covering every constant
+//! intensionally. [`is_safe_ucq`] runs the same code *symbolically*, at
+//! a one-point number type: instead of grounding a separator over the
+//! concrete domain, it substitutes one fresh marker constant **and**
+//! every constant already occurring in the CQ — covering every constant
 //! equality pattern a concrete domain can produce. Control flow below
 //! depends only on that pattern (atom equality, variable sharing,
 //! relation symbols), so a symbolically safe query can never get stuck
@@ -31,15 +31,15 @@
 //! rejects may still be tractable.
 //!
 //! The evaluator is written once against the workspace's arithmetic
-//! seam, [`Scalar`] (a [`Num`](intext_numeric::Num) that exact inputs
-//! can enter), and instantiated per number type by
-//! [`lifted_probability_as`]: [`lifted_probability`] is the
-//! [`BigRational`] instantiation, [`lifted_probability_f64`] the `f64`
-//! one.
+//! seam, [`Num`], and a private grounding seam (separator values and
+//! the ground base), and instantiated per number type by
+//! [`lifted_probability_as`] over a [`Scalar`] (a `Num` that exact
+//! inputs can enter): [`lifted_probability`] is the [`BigRational`]
+//! instantiation, [`lifted_probability_f64`] the `f64` one.
 
 use std::collections::BTreeSet;
 
-use intext_numeric::{BigRational, Scalar};
+use intext_numeric::{BigRational, Num, Scalar};
 use intext_tid::{Database, Relation, Tid, TupleId};
 
 use crate::cq::{Atom, ConjunctiveQuery, Term};
@@ -172,7 +172,81 @@ fn ground_tuple(db: &Database, atom: &Atom) -> Option<TupleId> {
     }
 }
 
-fn eval_union<N: Scalar>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
+/// What the lifted recursion grounds against: one TID instance, or
+/// the symbolic stand-in [`is_safe_ucq`] uses for every instance. The
+/// rules themselves never look further than these two methods.
+trait Grounding<N: Num> {
+    /// The values a separator variable of `cq` is grounded to.
+    fn separator_values(&self, cq: &ConjunctiveQuery) -> Vec<u32>;
+    /// The probability of a CQ whose atoms are distinct and ground.
+    fn ground_base(&self, atoms: &[Atom]) -> N;
+}
+
+impl<N: Scalar> Grounding<N> for Tid {
+    fn separator_values(&self, _cq: &ConjunctiveQuery) -> Vec<u32> {
+        (0..self.database().domain_size()).collect()
+    }
+
+    fn ground_base(&self, atoms: &[Atom]) -> N {
+        // Distinct ground atoms are distinct tuples, hence independent.
+        let mut p = N::one();
+        for atom in atoms {
+            match ground_tuple(self.database(), atom) {
+                Some(id) => p = p.mul(&N::from_exact(self.prob(id))),
+                None => return N::zero(),
+            }
+        }
+        p
+    }
+}
+
+/// The instance [`is_safe_ucq`] evaluates against: control flow in the
+/// recursion depends only on which constants are equal, so grounding
+/// each separator to every occurring constant plus one fresh marker
+/// walks every path a concrete domain can take.
+struct Symbolic;
+
+impl Grounding<Unit> for Symbolic {
+    fn separator_values(&self, cq: &ConjunctiveQuery) -> Vec<u32> {
+        let constants = cq_constants(cq);
+        let mut marker = u32::MAX;
+        while constants.contains(&marker) {
+            marker -= 1;
+        }
+        let mut values: Vec<u32> = constants.into_iter().collect();
+        values.push(marker);
+        values
+    }
+
+    fn ground_base(&self, _atoms: &[Atom]) -> Unit {
+        Unit
+    }
+}
+
+/// The one-point [`Num`]: at `Unit` the recursion computes nothing but
+/// whether it gets stuck.
+#[derive(Clone)]
+struct Unit;
+
+impl Num for Unit {
+    fn zero() -> Self {
+        Unit
+    }
+    fn one() -> Self {
+        Unit
+    }
+    fn add(&self, _: &Self) -> Self {
+        Unit
+    }
+    fn sub(&self, _: &Self) -> Self {
+        Unit
+    }
+    fn mul(&self, _: &Self) -> Self {
+        Unit
+    }
+}
+
+fn eval_union<N: Num>(cqs: &[ConjunctiveQuery], g: &impl Grounding<N>) -> Option<N> {
     if cqs.iter().any(|c| c.atoms.is_empty()) {
         return Some(N::one());
     }
@@ -183,7 +257,7 @@ fn eval_union<N: Scalar>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
     if comps.len() > 1 {
         let mut miss = N::one();
         for comp in &comps {
-            let p = eval_union::<N>(comp, tid)?;
+            let p = eval_union(comp, g)?;
             miss = miss.mul(&N::one().sub(&p));
         }
         return Some(N::one().sub(&miss));
@@ -200,7 +274,7 @@ fn eval_union<N: Scalar>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
                     merged = merge_cqs(&merged, cq)?;
                 }
             }
-            let p = eval_cq::<N>(&merged, tid)?;
+            let p = eval_cq(&merged, g)?;
             total = if mask.count_ones() % 2 == 1 {
                 total.add(&p)
             } else {
@@ -209,47 +283,31 @@ fn eval_union<N: Scalar>(cqs: &[ConjunctiveQuery], tid: &Tid) -> Option<N> {
         }
         return Some(total);
     }
-    eval_cq::<N>(&cqs[0], tid)
+    eval_cq(&cqs[0], g)
 }
 
-fn eval_cq<N: Scalar>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
+fn eval_cq<N: Num>(cq: &ConjunctiveQuery, g: &impl Grounding<N>) -> Option<N> {
     let cq = dedup_atoms(cq);
     if cq.atoms.is_empty() {
         return Some(N::one());
     }
     if cq.atoms.iter().all(atom_is_ground) {
-        // Distinct ground atoms are distinct tuples, hence independent.
-        let mut p = N::one();
-        for atom in &cq.atoms {
-            match ground_tuple(tid.database(), atom) {
-                Some(id) => p = p.mul(&N::from_exact(tid.prob(id))),
-                None => return Some(N::zero()),
-            }
-        }
-        return Some(p);
+        return Some(g.ground_base(&cq.atoms));
     }
     let comps = atom_components(&cq.atoms);
     if comps.len() > 1 {
         let mut p = N::one();
         for atoms in comps {
-            let q = eval_cq::<N>(&ConjunctiveQuery::new(atoms), tid)?;
-            p = p.mul(&q);
+            p = p.mul(&eval_cq(&ConjunctiveQuery::new(atoms), g)?);
         }
         return Some(p);
     }
+    let values = g.separator_values(&cq);
     for sep in separators(&cq) {
-        let mut miss = Some(N::one());
-        for a in 0..tid.database().domain_size() {
-            match eval_cq::<N>(&substitute(&cq, sep, a), tid) {
-                Some(p) => {
-                    miss = miss.map(|m| m.mul(&N::one().sub(&p)));
-                }
-                None => {
-                    miss = None;
-                    break;
-                }
-            }
-        }
+        let miss = values.iter().try_fold(N::one(), |miss, &value| {
+            let p = eval_cq(&substitute(&cq, sep, value), g)?;
+            Some(miss.mul(&N::one().sub(&p)))
+        });
         if let Some(miss) = miss {
             return Some(N::one().sub(&miss));
         }
@@ -257,82 +315,20 @@ fn eval_cq<N: Scalar>(cq: &ConjunctiveQuery, tid: &Tid) -> Option<N> {
     None
 }
 
-fn safe_union(cqs: &[ConjunctiveQuery]) -> bool {
-    if cqs.iter().any(|c| c.atoms.is_empty()) || cqs.is_empty() {
-        return true;
-    }
-    let comps = union_components(cqs);
-    if comps.len() > 1 {
-        return comps.iter().all(|c| safe_union(c));
-    }
-    if cqs.len() > 1 {
-        if cqs.len() > MAX_INCLUSION_EXCLUSION {
-            return false;
-        }
-        for mask in 1u32..(1u32 << cqs.len()) {
-            let mut merged = ConjunctiveQuery::new(Vec::new());
-            for (i, cq) in cqs.iter().enumerate() {
-                if mask >> i & 1 == 1 {
-                    match merge_cqs(&merged, cq) {
-                        Some(m) => merged = m,
-                        None => return false,
-                    }
-                }
-            }
-            if !safe_cq(&merged) {
-                return false;
-            }
-        }
-        return true;
-    }
-    safe_cq(&cqs[0])
-}
-
-fn safe_cq(cq: &ConjunctiveQuery) -> bool {
-    let cq = dedup_atoms(cq);
-    if cq.atoms.is_empty() || cq.atoms.iter().all(atom_is_ground) {
-        return true;
-    }
-    let comps = atom_components(&cq.atoms);
-    if comps.len() > 1 {
-        return comps
-            .iter()
-            .all(|atoms| safe_cq(&ConjunctiveQuery::new(atoms.clone())));
-    }
-    'sep: for sep in separators(&cq) {
-        // One fresh marker (distinct from everything) plus every
-        // occurring constant covers all equality patterns a concrete
-        // domain value can realize.
-        let constants = cq_constants(&cq);
-        let mut marker = u32::MAX;
-        while constants.contains(&marker) {
-            marker -= 1;
-        }
-        let mut values: Vec<u32> = constants.into_iter().collect();
-        values.push(marker);
-        for value in values {
-            if !safe_cq(&substitute(&cq, sep, value)) {
-                continue 'sep;
-            }
-        }
-        return true;
-    }
-    false
-}
-
 /// Is this UCQ safe — evaluable by the lifted rules on *every* TID
 /// instance of its vocabulary? Conservative: `true` guarantees
 /// [`lifted_probability`] succeeds; `false` sends the query to an
-/// intensional route.
+/// intensional route. It is the evaluator itself, run at a one-point
+/// number type against a symbolic instance.
 pub fn is_safe_ucq(ucq: &Ucq) -> bool {
-    safe_union(ucq.disjuncts())
+    eval_union::<Unit>(ucq.disjuncts(), &Symbolic).is_some()
 }
 
 /// Lifted evaluation in any scalar number type ([`BigRational`] or
 /// `f64`): one recursion, instantiated per type. Returns `None` iff the
 /// recursion gets stuck, which [`is_safe_ucq`] rules out in advance.
 pub fn lifted_probability_as<N: Scalar>(ucq: &Ucq, tid: &Tid) -> Option<N> {
-    eval_union::<N>(ucq.disjuncts(), tid)
+    eval_union(ucq.disjuncts(), tid)
 }
 
 /// Exact [`lifted_probability_as`].

@@ -277,20 +277,12 @@ pub fn listen_tcp(handle: ServeHandle, addr: impl ToSocketAddrs) -> io::Result<L
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = spawn_accept_loop(Arc::clone(&stop), move |stop| {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                // The accept socket is non-blocking; connections are
-                // served blocking on their own threads.
-                let _ = stream.set_nonblocking(false);
-                let handle = handle.clone();
-                thread::spawn(move || {
-                    let _ = serve_connection(&handle, &mut stream);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-            Err(_) => stop.store(true, Ordering::Relaxed),
-        }
+    let accept_thread = spawn_accept_loop(handle, Arc::clone(&stop), move || {
+        let (stream, _peer) = listener.accept()?;
+        // The accept socket is non-blocking; connections are served
+        // blocking on their own threads.
+        stream.set_nonblocking(false)?;
+        Ok(stream)
     });
     Ok(ListenerHandle {
         stop,
@@ -307,16 +299,10 @@ pub fn listen_unix(handle: ServeHandle, path: impl AsRef<Path>) -> io::Result<Li
     let listener = UnixListener::bind(&path)?;
     listener.set_nonblocking(true)?;
     let stop = Arc::new(AtomicBool::new(false));
-    let accept_thread = spawn_accept_loop(Arc::clone(&stop), move |stop| match listener.accept() {
-        Ok((mut stream, _peer)) => {
-            let _ = stream.set_nonblocking(false);
-            let handle = handle.clone();
-            thread::spawn(move || {
-                let _ = serve_connection(&handle, &mut stream);
-            });
-        }
-        Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
-        Err(_) => stop.store(true, Ordering::Relaxed),
+    let accept_thread = spawn_accept_loop(handle, Arc::clone(&stop), move || {
+        let (stream, _peer) = listener.accept()?;
+        stream.set_nonblocking(false)?;
+        Ok(stream)
     });
     Ok(ListenerHandle {
         stop,
@@ -325,15 +311,29 @@ pub fn listen_unix(handle: ServeHandle, path: impl AsRef<Path>) -> io::Result<Li
     })
 }
 
-fn spawn_accept_loop(
+/// The accept loop of every listener: each stream `accept` yields is
+/// served by [`serve_connection`] on a thread of its own. Every error —
+/// `WouldBlock` from the idle non-blocking socket, or a transient one
+/// such as `EMFILE` (out of file descriptors) or `ECONNABORTED` — waits
+/// [`ACCEPT_POLL`] and retries, so only `stop` ends the loop.
+fn spawn_accept_loop<S: Read + Write + Send + 'static>(
+    handle: ServeHandle,
     stop: Arc<AtomicBool>,
-    mut step: impl FnMut(&AtomicBool) + Send + 'static,
+    mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
 ) -> JoinHandle<()> {
     thread::Builder::new()
         .name("intext-serve-accept".into())
         .spawn(move || {
             while !stop.load(Ordering::Relaxed) {
-                step(&stop);
+                match accept() {
+                    Ok(mut stream) => {
+                        let handle = handle.clone();
+                        thread::spawn(move || {
+                            let _ = serve_connection(&handle, &mut stream);
+                        });
+                    }
+                    Err(_) => thread::sleep(ACCEPT_POLL),
+                }
             }
         })
         .expect("spawning the accept thread")
@@ -622,5 +622,28 @@ mod tests {
         let err = client.request(&Request::Ping).unwrap_err();
         assert!(err.is_connection_lost());
         assert_eq!(dials.load(Ordering::Relaxed), 3);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn transient_accept_errors_never_stop_the_listener() {
+        let server = crate::Server::start(crate::ServeConfig::default()).unwrap();
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let mut script: VecDeque<io::Result<UnixStream>> = VecDeque::from([
+            Err(io::ErrorKind::ConnectionAborted.into()),
+            Err(io::Error::from_raw_os_error(24)), // EMFILE on Linux
+            Ok(theirs),
+        ]);
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept_thread = spawn_accept_loop(server.handle(), Arc::clone(&stop), move || {
+            script
+                .pop_front()
+                .unwrap_or_else(|| Err(io::ErrorKind::WouldBlock.into()))
+        });
+        let mut client = RemoteClient::new(ours);
+        let reply = client.request(&Request::Ping).unwrap();
+        assert!(matches!(reply, Ok(Response::Pong)), "{reply:?}");
+        stop.store(true, Ordering::Relaxed);
+        accept_thread.join().unwrap();
     }
 }

@@ -78,24 +78,28 @@ fn main() {
     let mut engine = PqeEngine::new();
     println!("planner: {}", engine.explain(&q, &tid));
     let p = engine.evaluate(&q, &tid).expect("φ9 is tractable");
-    let first = engine.stats().last.expect("just evaluated");
+    let compiled = engine.stats().compile_time;
     println!(
         "engine answer                : {p}\n  [{} gates compiled in {:?}, evaluated in {:?}]",
-        first.circuit_size.unwrap_or(0),
-        first.compile_time,
-        first.eval_time,
+        engine.cache_gates(),
+        compiled,
+        engine.stats().eval_time,
     );
 
     // Re-weight one tuple: the cached circuit is re-walked, not recompiled.
     tid.set_prob(TupleId(0), BigRational::from_ratio(1, 97))
         .expect("valid probability");
     let reweighted = engine.evaluate(&q, &tid).expect("cached");
-    let second = engine.stats().last.expect("just evaluated");
     println!(
-        "re-weighted (tuple 0 → 1/97) : {reweighted}\n  [cache hit: {}, recompile time {:?}]",
-        second.cache_hit, second.compile_time,
+        "re-weighted (tuple 0 → 1/97) : {reweighted}\n  [cache hits: {}, recompile time {:?}]",
+        engine.stats().cache_hits,
+        engine.stats().compile_time - compiled,
     );
-    assert!(second.cache_hit, "re-weighting must reuse the artifact");
+    assert_eq!(
+        engine.stats().cache_hits,
+        1,
+        "re-weighting must reuse the artifact"
+    );
 
     // Live updates: remove a tuple, then put it back. Each structural
     // change patches every cached artifact in place (Prop 3.7 group
@@ -159,14 +163,19 @@ fn main() {
             scenario
         })
         .collect();
+    let hits = engine.stats().cache_hits;
     let sharded = engine
         .evaluate_batch_sharded(&q, &scenarios, 4)
         .expect("same shape as the cached circuit");
+    let shared = engine.stats().cache_hits - hits;
+    assert_eq!(shared, 8, "every scenario re-walks the cached circuit");
+    assert_eq!(engine.stats().cache_misses, 1, "still 1 compile ever");
     let sequential = engine.evaluate_batch(&q, &scenarios).expect("tractable");
     assert_eq!(sharded, sequential, "sharding never changes the bits");
     println!(
-        "\nsharded batch: {}  (bit-identical to sequential ✓)",
-        engine.stats().last_batch.expect("batch just ran"),
+        "\nsharded batch: {} scenarios over 4 shard(s), {shared} shared walk(s), \
+         0 compiles  (bit-identical to sequential ✓)",
+        scenarios.len(),
     );
 
     // Floating-point batches drive the lane-batched evaluation kernel:

@@ -31,7 +31,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use intext::boolfn::{phi9, BoolFn};
-use intext::engine::{DurableDir, EngineConfig, PqeEngine, TupleUpdate};
+use intext::engine::{DurableDir, EngineConfig, Plan, PqeEngine, SamplerKind, TupleUpdate};
 use intext::numeric::BigRational;
 use intext::query::HQuery;
 use intext::serve::{listen_tcp, ServeConfig, Server};
@@ -195,13 +195,15 @@ fn demo(server: &Server) -> Result<(), String> {
 
     let stats = handle.stats();
     println!(
-        "stats    : {} queries ({} obdd / {} d-D / {} brute / {} sampled), \
-         {} cache hits / {} misses",
+        "stats    : {} queries ({} obdd / {} d-D / {} brute / {} sampled / {} lifted / \
+         {} ground), {} cache hits / {} misses",
         stats.queries,
-        stats.obdd_plans,
-        stats.dd_plans,
-        stats.brute_force_plans,
-        stats.sample_plans,
+        stats.plans(Plan::Obdd),
+        stats.plans(Plan::DdCircuit),
+        stats.plans(Plan::BruteForce),
+        stats.plans(Plan::Sample(SamplerKind::KarpLuby)),
+        stats.plans(Plan::Lifted),
+        stats.plans(Plan::GroundCircuit),
         stats.cache_hits,
         stats.cache_misses,
     );

@@ -58,7 +58,7 @@
 //! let mut engine = PqeEngine::new();
 //! assert_eq!(engine.plan(&parsed, &papers), Ok(Plan::Lifted));
 //! engine.evaluate(&parsed, &papers).unwrap();
-//! assert_eq!(engine.stats().lifted_plans, 1);
+//! assert_eq!(engine.stats().plans(Plan::Lifted), 1);
 //!
 //! // Dalvi–Suciu's q9 on a complete database, every tuple with Pr = 1/2.
 //! let tid = uniform_tid(complete_database(3, 2), BigRational::from_ratio(1, 2));

@@ -15,7 +15,7 @@
 
 use intext::boolfn::BoolFn;
 use intext::circuits::LANES;
-use intext::engine::PqeEngine;
+use intext::engine::{Plan, PqeEngine};
 use intext::numeric::BigRational;
 use intext::query::HQuery;
 use intext::tid::{
@@ -52,9 +52,9 @@ fn counters(s: &intext::engine::EngineStats) -> [u64; 7] {
         s.cache_hits,
         s.cache_misses,
         s.cache_evictions,
-        s.obdd_plans,
-        s.dd_plans,
-        s.brute_force_plans,
+        s.plans(Plan::Obdd),
+        s.plans(Plan::DdCircuit),
+        s.plans(Plan::BruteForce),
     ]
 }
 
@@ -107,10 +107,10 @@ fn lane_batched_equals_scalar_loop_for_all_small_phi() {
         assert_eq!(scalar.stats().lane_kernel_calls, 0, "k={k}");
         assert!(lane.stats().lane_kernel_calls > 0, "k={k}");
         assert!(sharded.stats().lane_kernel_calls > 0, "k={k}");
-        assert!(lane.stats().brute_force_plans > 0, "k={k}");
-        assert!(lane.stats().obdd_plans > 0, "k={k}");
+        assert!(lane.stats().plans(Plan::BruteForce) > 0, "k={k}");
+        assert!(lane.stats().plans(Plan::Obdd) > 0, "k={k}");
         if k >= 2 {
-            assert!(lane.stats().dd_plans > 0, "k={k}");
+            assert!(lane.stats().plans(Plan::DdCircuit) > 0, "k={k}");
         }
     }
 }

@@ -114,10 +114,10 @@ fn engine_matches_brute_force_for_all_small_phi() {
         // Sanity: the sweep exercised compiled plans, not just brute force.
         // (At k = 1 every zero-Euler function is degenerate, so the d-D
         // region is only populated from k = 2 on.)
-        assert!(engine.stats().obdd_plans > 0, "k={k}");
-        assert!(engine.stats().brute_force_plans > 0, "k={k}");
+        assert!(engine.stats().plans(Plan::Obdd) > 0, "k={k}");
+        assert!(engine.stats().plans(Plan::BruteForce) > 0, "k={k}");
         if k >= 2 {
-            assert!(engine.stats().dd_plans > 0, "k={k}");
+            assert!(engine.stats().plans(Plan::DdCircuit) > 0, "k={k}");
         }
     }
 }
@@ -159,7 +159,7 @@ fn every_safe_monotone_phi_up_to_k3_matches_brute_force() {
         // k = 3 is the first that is not), so the d-D route only fires
         // from k = 3 on.
         if k >= 3 {
-            assert!(engine.stats().dd_plans > 0, "k={k}");
+            assert!(engine.stats().plans(Plan::DdCircuit) > 0, "k={k}");
         }
     }
 }

@@ -14,8 +14,7 @@
 //!   for every shard count `0..=16`, with merged sample counters equal
 //!   to the sequential run,
 //! * `explain()` names the sampler and the region for all three hard
-//!   regions, sampling stays opt-in (`Intractable` when disabled), and
-//!   `plan_batch` dry runs report the compile/sample split.
+//!   regions, and sampling stays opt-in (`Intractable` when disabled).
 //!
 //! CI runs this file under both `RUST_TEST_THREADS=1` and the default
 //! parallel harness, mirroring `engine_sharding.rs`.
@@ -70,10 +69,10 @@ fn counters(s: &EngineStats) -> [u64; 9] {
         s.cache_hits,
         s.cache_misses,
         s.cache_evictions,
-        s.obdd_plans,
-        s.dd_plans,
-        s.brute_force_plans,
-        s.sample_plans,
+        s.plans(Plan::Obdd),
+        s.plans(Plan::DdCircuit),
+        s.plans(Plan::BruteForce),
+        s.plans(Plan::Sample(SamplerKind::KarpLuby)),
         s.samples_drawn,
     ]
 }
@@ -287,8 +286,14 @@ fn sharded_sampling_is_bit_identical_for_every_shard_count() {
     let mut sequential_f64 = PqeEngine::with_config(config);
     let expected_f64 = sequential_f64.evaluate_batch_f64(&q, &scenarios).unwrap();
     assert!(sequential.stats().samples_drawn > 0);
-    assert_eq!(sequential.stats().sample_plans, 7, "7 of 13 are hard");
-    assert_eq!(sequential.stats().brute_force_plans, 6);
+    assert_eq!(
+        sequential
+            .stats()
+            .plans(Plan::Sample(SamplerKind::KarpLuby)),
+        7,
+        "7 of 13 are hard"
+    );
+    assert_eq!(sequential.stats().plans(Plan::BruteForce), 6);
     assert_eq!(
         counters(sequential.stats()),
         counters(sequential_f64.stats()),
@@ -302,8 +307,6 @@ fn sharded_sampling_is_bit_identical_for_every_shard_count() {
             .unwrap();
         assert_eq!(got, expected, "shards={shards}");
         assert_eq!(counters(engine.stats()), counters(sequential.stats()));
-        let batch = engine.stats().last_batch.unwrap();
-        assert_eq!(batch.sampled, 7, "shards={shards}");
 
         let mut engine_f64 = PqeEngine::with_config(config);
         let got_f64 = engine_f64
@@ -376,32 +379,4 @@ fn sampling_disabled_still_returns_intractable() {
     ));
     let explained = engine.explain(&q, &tid).to_string();
     assert!(explained.contains("no sound plan"), "{explained}");
-}
-
-/// `plan_batch` dry runs report the compile/sample split of a mixed
-/// workload without evaluating anything.
-#[test]
-fn plan_batch_reports_the_compile_sample_split() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let scenarios = mixed_scenarios(10, &mut rng);
-    let engine = sampling_engine(1, 0.1, 1e-3);
-
-    // Hard φ: 5 sampled (beyond-budget shape), 5 brute-forced, nothing
-    // compiled — Plan::Sample produces no cacheable artifact.
-    let q = HQuery::new(BoolFn::from_fn(3, |v| v != 0));
-    let bp = engine.plan_batch(&q, &scenarios, 4).unwrap();
-    assert_eq!(bp.scenarios, 10);
-    assert_eq!(bp.sampled, 5);
-    assert_eq!((bp.compiles, bp.shared), (0, 0));
-    assert!(bp.to_string().contains("5 sampled"), "{bp}");
-    assert_eq!(engine.stats().queries, 0, "dry run must not evaluate");
-
-    // Safe φ on the same scenarios: all compiled/shared, none sampled.
-    let safe = HQuery::new(intext::boolfn::phi9());
-    let tid = uniform_tid(complete_database(3, 2), half());
-    let bp = engine
-        .plan_batch(&safe, &[tid.clone(), tid.clone(), tid], 2)
-        .unwrap();
-    assert_eq!(bp.sampled, 0);
-    assert_eq!((bp.compiles, bp.shared), (1, 2));
 }

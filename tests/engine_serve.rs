@@ -48,7 +48,9 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use intext_boolfn::BoolFn;
-use intext_engine::{EngineConfig, EngineError, EngineStats, Plan, PqeEngine, SamplingConfig};
+use intext_engine::{
+    EngineConfig, EngineError, EngineStats, Plan, PqeEngine, SamplerKind, SamplingConfig,
+};
 use intext_numeric::BigRational;
 use intext_query::{HQuery, Query};
 use intext_serve::{listen_tcp, RemoteClient, Request, Response, ServeConfig, ServeError, Server};
@@ -133,10 +135,8 @@ fn all_functions(k: u8) -> Vec<BoolFn> {
 }
 
 /// Asserts every *count* field of the merged server stats equals the
-/// sequential engine's. Wall-time fields and the `last`/`last_batch`
-/// echoes are excluded by design: they are order- or clock-dependent
-/// (see the `EngineStats::last_batch` docs), while counts must be
-/// exactly order-independent.
+/// sequential engine's. Wall-time fields are excluded by design: they
+/// are clock-dependent, while counts must be exactly order-independent.
 fn assert_counts_equal(server: &EngineStats, seq: &EngineStats, context: &str) {
     assert_eq!(server.queries, seq.queries, "{context}: queries");
     assert_eq!(server.cache_hits, seq.cache_hits, "{context}: cache_hits");
@@ -152,16 +152,6 @@ fn assert_counts_equal(server: &EngineStats, seq: &EngineStats, context: &str) {
         server.artifact_loads, seq.artifact_loads,
         "{context}: artifact_loads"
     );
-    assert_eq!(server.obdd_plans, seq.obdd_plans, "{context}: obdd_plans");
-    assert_eq!(server.dd_plans, seq.dd_plans, "{context}: dd_plans");
-    assert_eq!(
-        server.brute_force_plans, seq.brute_force_plans,
-        "{context}: brute_force_plans"
-    );
-    assert_eq!(
-        server.sample_plans, seq.sample_plans,
-        "{context}: sample_plans"
-    );
     assert_eq!(
         server.samples_drawn, seq.samples_drawn,
         "{context}: samples_drawn"
@@ -174,24 +164,18 @@ fn assert_counts_equal(server: &EngineStats, seq: &EngineStats, context: &str) {
         server.patches_applied, seq.patches_applied,
         "{context}: patches_applied"
     );
-    // Histograms: the *number* of recordings per route must match (the
+    // Per-route query counts: each is its route histogram's count (the
     // recorded latencies themselves are wall-clock, so only counts are
     // deterministic).
-    for (route, s, q) in [
-        ("obdd", &server.route_latency.obdd, &seq.route_latency.obdd),
-        ("dd", &server.route_latency.dd, &seq.route_latency.dd),
-        (
-            "brute_force",
-            &server.route_latency.brute_force,
-            &seq.route_latency.brute_force,
-        ),
-        (
-            "sample",
-            &server.route_latency.sample,
-            &seq.route_latency.sample,
-        ),
+    for plan in [
+        Plan::Obdd,
+        Plan::DdCircuit,
+        Plan::BruteForce,
+        Plan::Sample(SamplerKind::KarpLuby),
+        Plan::Lifted,
+        Plan::GroundCircuit,
     ] {
-        assert_eq!(s.count(), q.count(), "{context}: {route} latency count");
+        assert_eq!(server.plans(plan), seq.plans(plan), "{context}: {plan}");
     }
 }
 
@@ -326,10 +310,16 @@ fn concurrent_clients_match_sequential_engine_for_all_k2_functions() {
     coverage.merge(&stats);
 
     // The sweep must actually have exercised the mixed routes.
-    assert!(coverage.obdd_plans > 0, "no OBDD route");
-    assert!(coverage.brute_force_plans > 0, "no brute-force route");
-    assert!(coverage.sample_plans > 0, "no sampled route");
-    assert!(coverage.dd_plans > 0, "never took the d-D route");
+    assert!(coverage.plans(Plan::Obdd) > 0, "no OBDD route");
+    assert!(coverage.plans(Plan::BruteForce) > 0, "no brute-force route");
+    assert!(
+        coverage.plans(Plan::Sample(SamplerKind::KarpLuby)) > 0,
+        "no sampled route"
+    );
+    assert!(
+        coverage.plans(Plan::DdCircuit) > 0,
+        "never took the d-D route"
+    );
 }
 
 /// Batches: a mixed-shape scenario workload served concurrently (one
